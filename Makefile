@@ -2,8 +2,9 @@
 # repo-specific tqeclint analyzers (doccomment included — the docs gate),
 # build, race-enabled tests, a replay of the committed fuzz corpora, a
 # one-iteration bench-json smoke run that validates the BENCH_*.json
-# schema round-trips, and a bounded chaos soak of the resilient service
-# layer (`make chaos`).
+# schema round-trips, a bounded chaos soak of the resilient service
+# layer (`make chaos`), and the benchmark module's own tests
+# (`make perfbench-test`).
 
 GO ?= go
 
@@ -13,7 +14,7 @@ GO ?= go
 COVER_MIN ?= 79
 COVER_OUT ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/tqec_cover.out
 
-.PHONY: all build vet lint test race cover fuzz-seeds bench bench-json bench-smoke check chaos ci
+.PHONY: all build vet lint test race cover fuzz-seeds bench bench-json bench-smoke check chaos perfbench-test ci
 
 all: build
 
@@ -96,4 +97,10 @@ CHAOS_SECONDS ?= 30
 chaos:
 	TQEC_CHAOS_SECONDS=$(CHAOS_SECONDS) $(GO) test -race -count=1 -run TestChaosSoak -timeout 10m ./internal/harness
 
-ci: vet lint build race cover fuzz-seeds check bench-smoke chaos
+# The benchmark under perfbench/ is a module of its own, so `./...` above
+# never builds or tests it; a change that breaks a name it imports would
+# otherwise only show when the benchmark runs.
+perfbench-test:
+	$(GO) -C perfbench test -count=1 ./...
+
+ci: vet lint build race cover fuzz-seeds check bench-smoke chaos perfbench-test

@@ -52,14 +52,12 @@ func main() {
 	journalSegBytes := flag.Int64("journal-segment-bytes", 0, "journal segment rotation threshold (0 = default 8MiB)")
 	allowFaults := flag.Bool("allow-fault-injection", false, "admit the fault_attempts chaos hook in request options")
 	partitionQubits := flag.Int("partition-qubits", 0, "default per-part qubit cap for partitioned compiles (0 = unpartitioned; requests may override)")
-	cacheShards := flag.Int("cache-shards", 0, "split the result cache into this many independently locked shards (0 or 1 = single shard)")
 	flag.Parse()
 
 	cfg := server.Config{
 		Workers:             *workers,
 		QueueDepth:          *queue,
 		CacheBytes:          *cacheBytes,
-		CacheShards:         *cacheShards,
 		PartitionQubits:     *partitionQubits,
 		DefaultTimeout:      *timeout,
 		MaxTimeout:          *maxTimeout,

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -343,6 +344,28 @@ func TestRunPartitionedMeasuresRealCompiles(t *testing.T) {
 	f.Partitioned = p
 	if err := Validate(f); err != nil {
 		t.Fatalf("real section fails validation: %v", err)
+	}
+}
+
+// TestCompilePipelineIgnoresCPUCount pins that -bench-out volumes do not
+// depend on the machine: compilePipeline fixes the SA chain count, so
+// 4gt4-v0_73 compiles to the same volume at GOMAXPROCS 1 and 2.
+func TestCompilePipelineIgnoresCPUCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real pipeline compiles")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	vols := map[int]int{}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		res, err := compilePipeline(context.Background(), "4gt4-v0_73", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vols[procs] = res.Volume
+	}
+	if vols[1] != vols[2] {
+		t.Fatalf("4gt4-v0_73 volume %d at GOMAXPROCS 1 but %d at 2", vols[1], vols[2])
 	}
 }
 

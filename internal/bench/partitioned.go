@@ -90,6 +90,7 @@ func runPartitioned(ctx context.Context, opts Options) (*Partitioned, error) {
 
 	base := tqec.DefaultOptions()
 	base.Place.Seed = opts.Seed
+	base.Place.Chains = 1
 	whole := make([]time.Duration, 0, opts.Iterations)
 	split := make([]time.Duration, 0, opts.Iterations)
 	for it := 0; it < opts.Iterations; it++ {

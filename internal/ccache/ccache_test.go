@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -307,4 +308,130 @@ func TestOutcomeString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(o), got, want)
 		}
 	}
+}
+
+// TestSharedLeaderFailureNotCounted is the regression for the shared-hit
+// drift: waiters used to be counted Shared the moment they coalesced, so a
+// failed leader left behind shared hits that never materialized. Waiters
+// must observe the leader's error, and the counters must record them as
+// misses.
+func TestSharedLeaderFailureNotCounted(t *testing.T) {
+	c := New(1 << 20)
+	boom := errors.New("boom")
+	const waiters = 8
+	release := make(chan struct{})
+	started := make(chan struct{})
+
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), "k", func() ([]byte, error) {
+			close(started)
+			<-release
+			return nil, boom
+		})
+		leaderErr <- err
+	}()
+	<-started
+
+	var wg sync.WaitGroup
+	errs := make([]error, waiters)
+	vals := make([][]byte, waiters)
+	waiting := make(chan struct{}, waiters)
+	for i := 0; i < waiters; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			waiting <- struct{}{}
+			v, o, err := c.Do(context.Background(), "k", func() ([]byte, error) {
+				t.Error("waiter ran compute during an in-flight call")
+				return nil, nil
+			})
+			if o != Shared {
+				t.Errorf("waiter %d outcome = %v, want Shared", i, o)
+			}
+			errs[i], vals[i] = err, v
+		}()
+	}
+	// All waiters are about to block on the flight; give them a beat to
+	// reach the select, then fail the leader.
+	for i := 0; i < waiters; i++ {
+		<-waiting
+	}
+	close(release)
+	wg.Wait()
+	if err := <-leaderErr; !errors.Is(err, boom) {
+		t.Fatalf("leader err = %v", err)
+	}
+	for i := 0; i < waiters; i++ {
+		if !errors.Is(errs[i], boom) {
+			t.Fatalf("waiter %d err = %v, want leader's error", i, errs[i])
+		}
+		if vals[i] != nil {
+			t.Fatalf("waiter %d got a value %q from a failed flight", i, vals[i])
+		}
+	}
+
+	s := c.Stats()
+	if s.Shared != 0 || s.Hits != 0 {
+		t.Fatalf("failed flight produced phantom shared hits: %+v", s)
+	}
+	// Some waiters may have raced in after the flight resolved and become
+	// fresh leaders themselves; every one of them failed, so all lookups
+	// are misses either way.
+	if s.Misses != s.Lookups || s.Hits+s.Misses != s.Lookups {
+		t.Fatalf("counter invariant violated after failed flight: %+v", s)
+	}
+}
+
+// TestCounterInvariantStress hammers Do with mixed keys, failing computes
+// and canceled waits (run under -race) and pins the accounting invariant:
+// hits+misses == lookups, shared ≤ hits.
+func TestCounterInvariantStress(t *testing.T) {
+	t.Run("single", func(t *testing.T) {
+		c := New(1 << 10)
+		const goroutines, rounds, keys = 12, 150, 7
+		var wg sync.WaitGroup
+		var want atomic.Int64
+		for g := 0; g < goroutines; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				for i := 0; i < rounds; i++ {
+					k := fmt.Sprintf("key-%d", rng.Intn(keys))
+					ctx := context.Background()
+					var cancel context.CancelFunc
+					if rng.Intn(8) == 0 {
+						ctx, cancel = context.WithCancel(ctx)
+						cancel() // abandoned waits must not count shared hits
+					}
+					fail := rng.Intn(4) == 0
+					want.Add(1)
+					_, _, err := c.Do(ctx, k, func() ([]byte, error) {
+						if fail {
+							return nil, errors.New("induced failure")
+						}
+						return []byte("payload-for-" + k), nil
+					})
+					_ = err // failures and cancellations are the point
+					if cancel != nil {
+						cancel()
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		s := c.Stats()
+		if s.Lookups != want.Load() {
+			t.Fatalf("lookups = %d, want %d", s.Lookups, want.Load())
+		}
+		if s.Hits+s.Misses != s.Lookups {
+			t.Fatalf("hits+misses != lookups: %+v", s)
+		}
+		if s.Shared > s.Hits {
+			t.Fatalf("shared hits exceed hits: %+v", s)
+		}
+	})
 }

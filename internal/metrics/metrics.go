@@ -20,6 +20,10 @@ const (
 	StageStitch    = "seam stitching"
 )
 
+// AllStages lists every stage name above; consumers that keep per-stage
+// state (the service's latency histograms) build it from this list.
+var AllStages = []string{StageOther, StageZX, StageBridging, StagePlacement, StageRouting, StagePartition, StageStitch}
+
 // Counter names used by the fault-tolerant pipeline.
 const (
 	CounterPlacementRetries = "placement retries"

@@ -25,7 +25,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/bridge"
 	"repro/internal/bstar"
@@ -65,12 +64,6 @@ type Options struct {
 	InitialTemp, FinalTemp float64
 	// TierPitch overrides the tier z spacing (0 = DefaultTierPitch).
 	TierPitch int
-	// Restarts runs that many fully independent annealing chains
-	// concurrently (seeds Seed, Seed+1, …) without exchange and keeps the
-	// lowest-cost placement, ties broken by the lowest restart index.
-	// 0 and 1 both mean no restart fan-out. When set to 2 or more it takes
-	// precedence over Chains (legacy multi-start semantics).
-	Restarts int
 	// Chains runs that many cooperating SA chains concurrently with
 	// deterministic per-chain seeds derived from Seed and periodic
 	// best-cost exchange at temperature milestones; the lowest-cost chain
@@ -113,8 +106,7 @@ type Placement struct {
 	Moves int
 }
 
-// Run places the clustering's super-modules. With Restarts > 1 it anneals
-// that many independent chains in parallel and returns the best.
+// Run places the clustering's super-modules.
 func Run(cl *cluster.Clustering, nets []bridge.Net, opts Options) (*Placement, error) {
 	//lint:ignore ctxflow sanctioned no-context entry point; RunContext is the threaded variant
 	return RunContext(context.Background(), cl, nets, opts)
@@ -130,46 +122,7 @@ func RunContext(ctx context.Context, cl *cluster.Clustering, nets []bridge.Net, 
 	if err := faults.Canceled(ctx); err != nil {
 		return nil, fmt.Errorf("place: %w", err)
 	}
-	restarts := opts.Restarts
-	if restarts < 2 {
-		return runChains(ctx, cl, nets, opts, opts.EffectiveChains())
-	}
-	type outcome struct {
-		p   *Placement
-		err error
-	}
-	results := make([]outcome, restarts)
-	var wg sync.WaitGroup
-	for k := 0; k < restarts; k++ {
-		o := opts
-		o.Seed = opts.Seed + int64(k)
-		wg.Add(1)
-		go func(k int, o Options) {
-			defer wg.Done()
-			// A panic in a restart chain must not crash the process: the
-			// pipeline's recover guard only covers the calling goroutine.
-			defer func() {
-				if r := recover(); r != nil {
-					results[k] = outcome{err: fmt.Errorf("place: %w: restart chain: %v", faults.ErrPanic, r)}
-				}
-			}()
-			p, err := runOnce(ctx, cl, nets, o)
-			results[k] = outcome{p: p, err: err}
-		}(k, o)
-	}
-	wg.Wait()
-	// Deterministic selection: errors and cost ties resolve by restart
-	// index, never by goroutine completion order.
-	var best *Placement
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		if best == nil || r.p.Cost < best.Cost {
-			best = r.p
-		}
-	}
-	return best, nil
+	return runChains(ctx, cl, nets, opts, opts.EffectiveChains())
 }
 
 // runOnce anneals a single sequential chain (the pre-multi-chain code

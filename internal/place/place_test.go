@@ -194,35 +194,6 @@ func TestTierAssignmentConsistent(t *testing.T) {
 	t.Logf("%d supers on %d tiers", len(cl.Supers), p.Tiers)
 }
 
-func TestRestartsPickBest(t *testing.T) {
-	spec, err := qc.BenchmarkByName("4gt10-v1_81")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, nets := pipeline(t, mustGen(t, spec))
-	single, err := Run(cl, nets, quickOpts(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	multiOpts := quickOpts(300)
-	multiOpts.Restarts = 4
-	multi, err := Run(cl, nets, multiOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The multi-start result includes the single chain's seed, so it can
-	// only be at least as good.
-	if multi.Cost > single.Cost+1e-9 {
-		t.Fatalf("multi-start cost %.4f worse than single %.4f", multi.Cost, single.Cost)
-	}
-	if err := multi.CheckNoOverlap(); err != nil {
-		t.Fatal(err)
-	}
-	if err := multi.CheckTimeOrdering(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunRejectsEmpty(t *testing.T) {
 	cl := &cluster.Clustering{}
 	if _, err := Run(cl, nil, quickOpts(10)); err == nil {

@@ -3,6 +3,7 @@ package route_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bridge"
@@ -74,62 +75,32 @@ func ExampleRunContext() {
 	// legal: true
 }
 
-// ExampleOptions demonstrates the scheduler and kernel knobs: the batched
-// first pass (the default; Serial disables it) co-schedules nets whose
-// search regions are disjoint under a conflict-graph coloring, and
-// Bidirectional picks the meet-in-the-middle A* kernel for
-// single-start/single-target nets. Both are exactly equivalent to the
-// serial unidirectional configuration in routed cells and diagnostics —
-// only the wall-clock differs — so flipping them never changes a result.
+// ExampleOptions demonstrates the scheduler knob: the batched first pass
+// (the default; Serial disables it) co-schedules nets whose search
+// regions are disjoint under a conflict-graph coloring and commits them in
+// net order, so every net routes through exactly the cells the serial pass
+// gives it — only the wall-clock differs.
 func ExampleOptions() {
 	pl := examplePlacement()
 
-	fast := route.DefaultOptions() // batched + bidirectional
-	slow := fast
-	slow.Serial = true
-	slow.Bidirectional = false
+	batched := route.DefaultOptions()
+	serial := batched
+	serial.Serial = true
 
-	a, err := route.Run(pl, fast)
+	a, err := route.Run(pl, batched)
 	if err != nil {
 		panic(err)
 	}
-	b, err := route.Run(pl, slow)
+	b, err := route.Run(pl, serial)
 	if err != nil {
 		panic(err)
 	}
 
 	same := len(a.Routes) == len(b.Routes)
 	for id, p := range a.Routes {
-		q := b.Routes[id]
-		same = same && len(p) == len(q)
+		same = same && slices.Equal(p, b.Routes[id])
 	}
-	fmt.Println("batched+bidi matches serial+uni:", same)
+	fmt.Println("batched matches serial:", same)
 	// Output:
-	// batched+bidi matches serial+uni: true
-}
-
-// ExampleOptions_steiner routes friend-net groups as multi-terminal
-// Steiner nets: every connected component of pin-sharing nets grows one
-// tree by nearest-terminal merging instead of routing each two-pin net
-// separately. The result carries the Steiner flag, and Verify switches to
-// the group-connectivity terminal rule (each routed net's pin pair must
-// be connected through the union of its group's paths).
-func ExampleOptions_steiner() {
-	pl := examplePlacement()
-
-	opts := route.DefaultOptions()
-	opts.Steiner = true // requires FriendNets (on by default)
-
-	res, err := route.Run(pl, opts)
-	if err != nil {
-		panic(err)
-	}
-
-	fmt.Println("steiner mode:", res.Steiner)
-	fmt.Println("all nets routed:", len(res.Routes) == len(pl.Nets))
-	fmt.Println("legal:", route.Verify(pl, res) == nil)
-	// Output:
-	// steiner mode: true
-	// all nets routed: true
-	// legal: true
+	// batched matches serial: true
 }

@@ -13,9 +13,8 @@
 // graph and searches each independent set concurrently (schedule in
 // firstPass/colorBatches), and an incrementally maintained R-tree over
 // routed net bounds so rip-up victim scans never rebuild an index or walk
-// every route. Friend-net groups can optionally route as multi-terminal
-// Steiner nets (steiner.go). Every mode is deterministic for a fixed
-// input: see ARCHITECTURE.md's "Routing" section for the contracts.
+// every route. Routing is deterministic for a fixed input: see
+// ARCHITECTURE.md's "Routing" section for the contracts.
 package route
 
 import (
@@ -59,19 +58,6 @@ type Options struct {
 	// whole expanded world (larger volume, but connected). Rescued nets
 	// set Result.Degraded and are listed in Result.FallbackNets.
 	Fallback bool
-	// Bidirectional enables the meet-in-the-middle A* kernel for nets
-	// with exactly one start and one target cell in the search region
-	// (multi-source/multi-target searches always run unidirectionally).
-	// Both kernels return cost-optimal paths, but may prefer different
-	// equal-cost geometry, so the flag is part of the cache key.
-	Bidirectional bool
-	// Steiner routes each friend-net group (a connected component of
-	// nets sharing pins) as one multi-terminal net by nearest-terminal
-	// merging instead of sequential two-pin nets. Requires FriendNets;
-	// results are verified by group connectivity (every routed net's pin
-	// pair must be connected through the union of its group's paths)
-	// rather than per-terminal anchoring. Off by default.
-	Steiner bool
 	// FailNet, when non-nil, forces the listed nets to fail their normal
 	// routing attempts (fault injection for degradation tests). Fallback
 	// rescue attempts are not affected. Unless Serial is set, FailNet may
@@ -105,7 +91,6 @@ func DefaultOptions() Options {
 		FriendNets:    true,
 		MaxExpansions: 60000,
 		Fallback:      true,
-		Bidirectional: true,
 	}
 }
 
@@ -183,9 +168,6 @@ type Result struct {
 	Bounds geom.Box
 	// Stats carries the sub-stage timing breakdown (see RoutingStats).
 	Stats RoutingStats
-	// Steiner records that the result was produced with Options.Steiner,
-	// which switches Verify's terminal check to group connectivity.
-	Steiner bool
 }
 
 // WireCells returns the total number of cells used by routed nets.
@@ -313,7 +295,7 @@ func RunContext(ctx context.Context, p *place.Placement, opts Options) (*Result,
 		eps:         make([]netEndpoints, len(p.Nets)),
 		pinRev:      map[int]uint64{},
 		dirtyPins:   map[int]bool{},
-		result:      &Result{Routes: map[int]geom.Path{}, Steiner: opts.Steiner && opts.FriendNets},
+		result:      &Result{Routes: map[int]geom.Path{}},
 	}
 	if err := r.build(); err != nil {
 		return nil, err
@@ -465,12 +447,11 @@ func (r *router) homePin(pid int, pos geom.Point, staticCells map[geom.Point]boo
 }
 
 // route performs the iterative routing with rip-up and reroute: a first
-// pass over all nets (Steiner groups first when enabled, then individual
-// nets in non-decreasing pin-distance order, batched by the conflict
-// graph unless Serial), a bounded negotiation loop that widens failed
-// nets' regions and rips up blocking victims while charging congestion
-// history, anchoring/connectivity repair, and finally the degradation
-// path for anything left.
+// pass over all nets in non-decreasing pin-distance order (batched by the
+// conflict graph unless Serial), a bounded negotiation loop that widens
+// failed nets' regions and rips up blocking victims while charging
+// congestion history, anchoring repair, and finally the degradation path
+// for anything left.
 func (r *router) route() {
 	// First iteration: all nets, sorted by non-decreasing Manhattan
 	// distance.
@@ -487,19 +468,7 @@ func (r *router) route() {
 		margin[i] = r.opts.InitialMargin
 	}
 
-	var failed []int
-	if r.result.Steiner {
-		var grouped map[int]bool
-		grouped, failed = r.routeSteinerGroups()
-		rest := order[:0]
-		for _, idx := range order {
-			if !grouped[idx] {
-				rest = append(rest, idx)
-			}
-		}
-		order = rest
-	}
-	failed = append(failed, r.firstPass(order, margin)...)
+	failed := r.firstPass(order, margin)
 	if r.ctxErr != nil {
 		return
 	}
@@ -561,15 +530,10 @@ func (r *router) route() {
 		failed = dedupInts(still)
 	}
 	failed = append(failed, abandoned...)
-	// Restore the friend-net anchoring invariant (or, in Steiner mode,
-	// group connectivity): rip-ups may have left nets terminating on
-	// paths that no longer exist. Nets the repair cannot re-route join
-	// the failed set for the degradation path.
-	if r.result.Steiner {
-		failed = append(failed, r.repairGroups(margin)...)
-	} else {
-		failed = append(failed, r.repairDangling(margin)...)
-	}
+	// Restore the friend-net anchoring invariant: rip-ups may have left
+	// nets terminating on paths that no longer exist. Nets the repair
+	// cannot re-route join the failed set for the degradation path.
+	failed = append(failed, r.repairDangling(margin)...)
 	var exhausted []int
 	for _, idx := range dedupInts(failed) {
 		if _, routed := r.routes[r.nets[idx].ID]; !routed {
@@ -757,9 +721,7 @@ func (r *router) shoveRescue(n bridge.Net, margin int) ([]int, bool) {
 // and any nets it gives up on re-enter the worklist. The shove budget
 // bounds the cascade; everything still unrouted when the work dries up
 // lands in Failed. All rescued or failed nets get FailedNet diagnostics,
-// and any rescue or failure marks the result Degraded. Steiner results
-// skip the shove escalation (ripping a group member would invalidate
-// the group-connectivity invariant repairGroups has just restored).
+// and any rescue or failure marks the result Degraded.
 func (r *router) degrade(exhausted []int, attempts, margin []int) {
 	if len(exhausted) == 0 {
 		return
@@ -768,7 +730,7 @@ func (r *router) degrade(exhausted []int, attempts, margin []int) {
 	// world (searchRegion clamps against it).
 	worldMargin := r.world.Dx() + r.world.Dy() + r.world.Dz()
 	shoveBudget := len(exhausted) + shoveRescueBudget
-	if r.result.Steiner || !r.opts.Fallback {
+	if !r.opts.Fallback {
 		shoveBudget = 0
 	}
 	// reason records the outcome per net index; "" means still unrouted.
@@ -824,7 +786,7 @@ func (r *router) degrade(exhausted []int, attempts, margin []int) {
 		// Shove rescues can strand a friend that borrowed a victim's old
 		// path; restore the anchoring invariant and requeue anything the
 		// repair gives up on.
-		if shoved && !r.result.Steiner {
+		if shoved {
 			shoved = false
 			for _, idx := range r.repairDangling(margin) {
 				if _, routed := r.routes[r.nets[idx].ID]; !routed {
@@ -1220,8 +1182,7 @@ func (r *router) finish() {
 // shared friend cells (path endpoints). When the result carries PinCells,
 // it additionally checks that every path terminal is anchored: at the
 // net's own pin cell, or on the committed path of a friend net sharing
-// that pin (the Fig. 19 deformation); Steiner results are instead checked
-// by group connectivity (see verifyGroups). A result with unrouted nets
+// that pin (the Fig. 19 deformation). A result with unrouted nets
 // fails with an error wrapping faults.ErrUnroutable; a degraded
 // (fallback-routed) result fails with an error wrapping
 // faults.ErrDegraded, so a degraded routing can never verify silently.
@@ -1241,20 +1202,16 @@ func Verify(p *place.Placement, res *Result) error {
 
 // VerifyStructure is Verify without the strictness conditions: it checks
 // path connectivity, obstacle freedom, friend-cell sharing and terminal
-// anchoring (or Steiner group connectivity) of whatever was routed, but
-// accepts results with unrouted or fallback-routed nets. Degradation-
-// tolerant verifiers (the unbridged ablation differential in
-// internal/check) use it to confirm a degraded routing is still
-// structurally sound.
+// anchoring of whatever was routed, but accepts results with unrouted or
+// fallback-routed nets. Degradation-tolerant verifiers (the unbridged
+// ablation differential in internal/check) use it to confirm a degraded
+// routing is still structurally sound.
 func VerifyStructure(p *place.Placement, res *Result) error {
 	if err := verifyStructure(p, res); err != nil {
 		return err
 	}
 	if res.PinCells == nil {
 		return nil
-	}
-	if res.Steiner {
-		return verifyGroups(p, res)
 	}
 	return verifyTerminals(p, res)
 }

@@ -31,10 +31,9 @@ type SeamNet struct {
 // obstacle — there is no rehoming. base is the extent the result's
 // Bounds must cover even if no route leaves it (the union of all slabs).
 //
-// Friend-net deformation and Steiner grouping are forced off: seam pins
-// are pairwise distinct, so there is nothing to group and every net is a
-// plain two-terminal route. The result is deterministic for identical
-// inputs and options.
+// Friend-net deformation is forced off: seam pins are pairwise distinct,
+// so every net is a plain two-terminal route. The result is deterministic
+// for identical inputs and options.
 func RouteSeams(ctx context.Context, obstacles []geom.Box, nets []SeamNet, base geom.Box, opts Options) (*Result, error) {
 	if opts.MaxIterations < 0 {
 		return nil, fmt.Errorf("route: negative iterations")
@@ -43,7 +42,6 @@ func RouteSeams(ctx context.Context, obstacles []geom.Box, nets []SeamNet, base 
 		opts.MaxExpansions = 200000
 	}
 	opts.FriendNets = false
-	opts.Steiner = false
 	if err := faults.Canceled(ctx); err != nil {
 		return nil, fmt.Errorf("route: %w", err)
 	}

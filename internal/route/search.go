@@ -325,9 +325,9 @@ func shovable(n bridge.Net, net, pin int32, static bool) bool {
 
 // astar searches a cheapest path from any start to any target within the
 // region, dispatching to the bidirectional kernel for the
-// single-start/single-target case (when enabled) and the unidirectional
-// kernel otherwise. Regions up to denseSearchLimit cells (all but
-// degenerate whole-world rescues) index search state with flat arrays;
+// single-start/single-target case and the unidirectional kernel
+// otherwise. Regions up to denseSearchLimit cells (all but degenerate
+// whole-world rescues) index search state with flat arrays;
 // larger ones fall back to a hash-map slot index. Both storage modes run
 // the same kernel code and return identical paths.
 func (r *router) astar(n bridge.Net, ep *netEndpoints, region geom.Box) geom.Path {
@@ -355,7 +355,7 @@ func (r *router) astar(n bridge.Net, ep *netEndpoints, region geom.Box) geom.Pat
 	}
 	// Shove searches always run unidirectionally: the bidirectional cost
 	// model has no notion of the crossing penalty.
-	if r.opts.Bidirectional && !r.shove && len(starts) == 1 && len(targets) == 1 {
+	if !r.shove && len(starts) == 1 && len(targets) == 1 {
 		return r.astarBidi(n, starts[0], targets[0], region, dense, maxExp)
 	}
 	// Anchor the heuristic on the in-region targets only: out-of-region

@@ -264,69 +264,6 @@ func TestEndpointCacheReuse(t *testing.T) {
 	}
 }
 
-// TestFriendGroupsComponents pins friendGroups' component construction:
-// pin-sharing nets merge transitively (including through cycles),
-// singleton nets are excluded, and groups come back ordered by smallest
-// member index with sorted members and pins.
-func TestFriendGroupsComponents(t *testing.T) {
-	nets := []bridge.Net{
-		{ID: 0, PinA: 1, PinB: 2},
-		{ID: 1, PinA: 7, PinB: 8}, // singleton
-		{ID: 2, PinA: 2, PinB: 3},
-		{ID: 3, PinA: 3, PinB: 1}, // closes a cycle in the first group
-		{ID: 4, PinA: 9, PinB: 10},
-		{ID: 5, PinA: 10, PinB: 11},
-	}
-	groups := friendGroups(nets)
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2", len(groups))
-	}
-	g0, g1 := groups[0], groups[1]
-	wantNets0 := []int{0, 2, 3}
-	wantPins0 := []int{1, 2, 3}
-	if len(g0.nets) != 3 || g0.nets[0] != wantNets0[0] || g0.nets[1] != wantNets0[1] || g0.nets[2] != wantNets0[2] {
-		t.Fatalf("group 0 nets %v, want %v", g0.nets, wantNets0)
-	}
-	if len(g0.pins) != 3 || g0.pins[0] != wantPins0[0] || g0.pins[1] != wantPins0[1] || g0.pins[2] != wantPins0[2] {
-		t.Fatalf("group 0 pins %v, want %v", g0.pins, wantPins0)
-	}
-	if len(g1.nets) != 2 || g1.nets[0] != 4 || g1.nets[1] != 5 {
-		t.Fatalf("group 1 nets %v, want [4 5]", g1.nets)
-	}
-}
-
-// TestSteinerRouting routes a friend-net-heavy fixture in Steiner mode:
-// the result must carry the Steiner flag, verify under the group
-// connectivity rule, and be byte-identical between the serial and batched
-// schedulers and across repeated runs.
-func TestSteinerRouting(t *testing.T) {
-	pl := routeFixture(t)
-	opts := DefaultOptions()
-	opts.Steiner = true
-	res, err := Run(pl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Steiner {
-		t.Fatal("result does not carry the Steiner flag")
-	}
-	if err := VerifyStructure(pl, res); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Run(pl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRouting(t, "steiner rerun", res, again)
-	serialOpts := opts
-	serialOpts.Serial = true
-	serial, err := Run(pl, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRouting(t, "steiner serial vs batched", res, serial)
-}
-
 // TestRoutingStatsCollected pins the Clock contract: with a clock
 // injected the sub-stage durations and counters are populated, and the
 // routed cells are identical to an untimed run (timing never affects

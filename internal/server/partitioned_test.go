@@ -36,6 +36,15 @@ func TestCompilePartitionedEndpoint(t *testing.T) {
 	if resp.Volume <= 0 || len(resp.Parts) != 2 {
 		t.Fatalf("volume %d, parts %d", resp.Volume, len(resp.Parts))
 	}
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(get(s, "/v1/metrics").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"stage:qubit partition", "stage:seam stitching"} {
+		if snap.LatencyNS[stage].Count != 1 {
+			t.Fatalf("%s histogram %+v, want one sample", stage, snap.LatencyNS[stage])
+		}
+	}
 
 	// Repeat must hit the cache byte-for-byte.
 	w2 := post(s, "/v1/compile", body)

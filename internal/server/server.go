@@ -65,11 +65,6 @@ type Config struct {
 	QueueDepth int
 	// CacheBytes bounds the result cache payload bytes (default 64 MiB).
 	CacheBytes int64
-	// CacheShards splits the result cache into this many independently
-	// locked shards (consistent hash of the content address), so lookups
-	// stop serializing on one mutex under concurrent load. 0 or 1 keeps
-	// the single-mutex cache. Single-flight stays per key either way.
-	CacheShards int
 	// PartitionQubits, when positive, makes partitioned compilation the
 	// default: requests that leave partition_qubits at 0 compile with
 	// this per-part qubit cap (a negative request value still forces the
@@ -178,7 +173,7 @@ func (c Config) limits() parseLimits {
 type Server struct {
 	cfg      Config
 	pool     *pool
-	cache    ccache.Store
+	cache    *ccache.Cache
 	jobs     *jobRegistry
 	mux      *http.ServeMux
 	breaker  *resilience.Breaker
@@ -217,26 +212,18 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	var cache ccache.Store
-	if cfg.CacheShards > 1 {
-		cache = ccache.NewSharded(cfg.CacheShards, cfg.CacheBytes)
-	} else {
-		cache = ccache.New(cfg.CacheBytes)
-	}
 	s := &Server{
 		cfg:         cfg,
 		pool:        newPool(cfg.Workers, cfg.QueueDepth),
-		cache:       cache,
+		cache:       ccache.New(cfg.CacheBytes),
 		jobs:        jobs,
 		mux:         http.NewServeMux(),
 		breaker:     resilience.NewBreaker(resilience.BreakerSettings{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}),
 		compileHist: metrics.NewHistogram(),
-		stageHists: map[string]*metrics.Histogram{
-			metrics.StageBridging:  metrics.NewHistogram(),
-			metrics.StagePlacement: metrics.NewHistogram(),
-			metrics.StageRouting:   metrics.NewHistogram(),
-			metrics.StageOther:     metrics.NewHistogram(),
-		},
+		stageHists:  map[string]*metrics.Histogram{},
+	}
+	for _, stage := range metrics.AllStages {
+		s.stageHists[stage] = metrics.NewHistogram()
 	}
 	s.mux.HandleFunc("POST /v1/compile", s.handleCompile)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
@@ -305,9 +292,7 @@ func (s *Server) execute(ctx context.Context, ct *compileTask, attempt int) ([]b
 			return nil, err
 		}
 		s.observeCompileEWMA(elapsed)
-		for stage, hist := range s.stageHists {
-			hist.Observe(pres.Breakdown.Get(stage))
-		}
+		s.observeStages(pres.Breakdown)
 		return EncodePartitionedResult(ct.key, ct.circuit.Name, ct.opts.Partition.MaxQubitsPerPart, pres)
 	}
 	res, err := tqec.CompileContext(ctx, ct.circuit, ct.opts)
@@ -317,10 +302,18 @@ func (s *Server) execute(ctx context.Context, ct *compileTask, attempt int) ([]b
 		return nil, err
 	}
 	s.observeCompileEWMA(elapsed)
-	for stage, hist := range s.stageHists {
-		hist.Observe(res.Breakdown.Get(stage))
-	}
+	s.observeStages(res.Breakdown)
 	return EncodeResult(ct.key, res)
+}
+
+// observeStages records the time of every stage the compile ran in that
+// stage's latency histogram; a stage the compile skipped gets no sample.
+func (s *Server) observeStages(b *metrics.Breakdown) {
+	for _, stage := range b.Stages() {
+		if hist, ok := s.stageHists[stage]; ok {
+			hist.Observe(b.Get(stage))
+		}
+	}
 }
 
 // handleCompile serves POST /v1/compile: parse, content-address, coalesce

@@ -346,7 +346,10 @@ func TestMetricsJSONGolden(t *testing.T) {
 		`"stage:dual-defect net routing":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
 		`"stage:iterative bridging":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
 		`"stage:module placement":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
-		`"stage:other":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0}}}`
+		`"stage:other":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
+		`"stage:qubit partition":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
+		`"stage:seam stitching":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
+		`"stage:zx rewrite":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0}}}`
 	if got := w.Body.String(); got != want {
 		t.Fatalf("metrics JSON:\n got %s\nwant %s", got, want)
 	}
@@ -373,8 +376,14 @@ func TestMetricsCountTraffic(t *testing.T) {
 	if snap.LatencyNS["compile"].Count != 1 {
 		t.Fatalf("compile histogram %+v", snap.LatencyNS["compile"])
 	}
-	if snap.LatencyNS["stage:module placement"].Count != 1 {
-		t.Fatalf("stage histogram %+v", snap.LatencyNS["stage:module placement"])
+	for _, stage := range []string{"stage:module placement", "stage:zx rewrite"} {
+		if snap.LatencyNS[stage].Count != 1 {
+			t.Fatalf("%s histogram %+v, want one sample", stage, snap.LatencyNS[stage])
+		}
+	}
+	// An unpartitioned compile never runs the partition stage.
+	if snap.LatencyNS["stage:qubit partition"].Count != 0 {
+		t.Fatalf("partition histogram %+v, want no sample", snap.LatencyNS["stage:qubit partition"])
 	}
 	if snap.LatencyNS["queue_wait"].Count != 1 {
 		t.Fatalf("queue-wait histogram %+v", snap.LatencyNS["queue_wait"])

@@ -17,7 +17,7 @@ import (
 // and targets, CNOT pair cancellation via the Hopf law, identity
 // removal), but what they save they save without extraction overhead,
 // which on circuit-shaped inputs is usually the better trade. Optimize
-// prices this path against the graph-like ones and keeps the cheapest.
+// prices this path against the graph-like one and keeps the cheaper.
 
 // lnode is one spider on a qubit wire.
 type lnode struct {

@@ -17,21 +17,13 @@ import "fmt"
 // simplify runs the full rewrite system to a fixpoint: fusion, identity
 // removal and scalar cleanup to saturation, then a single local
 // complementation or pivot, repeated until nothing fires. It returns the
-// number of rewrites applied.
+// number of rewrites applied. The Clifford rules (local complementation
+// and pivoting) remove more spiders than fusion alone, and more T-count
+// via the phases they fold together, but leave a dense graph whose
+// extraction re-synthesizes the CNOT layer, which can cost far more than
+// the rewrites saved; Optimize therefore prices this pass against the
+// wire-structured light pass and keeps whichever is cheaper.
 func (d *diagram) simplify() (int, error) {
-	return d.simplifyLevel(true)
-}
-
-// simplifyLevel is simplify with the Clifford structure rules (local
-// complementation and pivoting) made optional. Without them the system
-// only fuses, removes identities and drops scalars — a phase-folding-like
-// pass that preserves the circuit's wire structure, so extraction tends
-// to return a circuit shaped like the input. The Clifford rules remove
-// more spiders (and more T-count via the phases they fold together) but
-// leave a dense graph whose extraction re-synthesizes the CNOT layer,
-// which can cost far more than the rewrites saved; Optimize prices both
-// and keeps whichever is cheaper.
-func (d *diagram) simplifyLevel(clifford bool) (int, error) {
 	rewrites := 0
 	limit := 10*d.spiderCount() + 1000
 	for {
@@ -52,9 +44,6 @@ func (d *diagram) simplifyLevel(clifford bool) (int, error) {
 			if n1+n2+n3 == 0 {
 				break
 			}
-		}
-		if !clifford {
-			return rewrites, nil
 		}
 		ok, err := d.lcompOne()
 		if err != nil {

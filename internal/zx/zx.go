@@ -49,17 +49,11 @@ type Stats struct {
 // cost comparison). Optimize wraps it with the fall-back policy; tests
 // call it directly so extraction bugs cannot hide behind the fall-back.
 func reduce(c *qc.Circuit) (*qc.Circuit, int, error) {
-	return reduceLevel(c, true)
-}
-
-// reduceLevel is reduce with the Clifford rules (local complementation,
-// pivoting) made optional — see simplifyLevel for why both levels exist.
-func reduceLevel(c *qc.Circuit, clifford bool) (*qc.Circuit, int, error) {
 	d, err := fromCircuit(c)
 	if err != nil {
 		return nil, 0, err
 	}
-	rewrites, err := d.simplifyLevel(clifford)
+	rewrites, err := d.simplify()
 	if err != nil {
 		return nil, rewrites, err
 	}
@@ -109,19 +103,14 @@ func Optimize(c *qc.Circuit) (*qc.Circuit, Stats, error) {
 	st.GatesBefore, st.GatesAfter = len(c.Gates), len(c.Gates)
 	st.CanonicalBefore, st.CanonicalAfter = volBefore, volBefore
 
-	// Three rewrite strategies compete: the wire-structured light pass
-	// (phase folding + CNOT cancellation, no extraction overhead), the
+	// Two rewrite strategies compete: the wire-structured light pass
+	// (phase folding + CNOT cancellation, no extraction overhead) and the
 	// full Clifford system (deepest rewrites, but its extraction
-	// re-synthesizes the CNOT layer), and graph-like fusion without the
-	// Clifford rules. Each is priced by canonical volume; the cheapest
-	// wins, with ties broken toward the earlier strategy so the output is
-	// a deterministic function of the input. The last failure is kept for
-	// the all-failed fall-back message.
-	strategies := []func(*qc.Circuit) (*qc.Circuit, int, error){
-		reduceLight,
-		func(c *qc.Circuit) (*qc.Circuit, int, error) { return reduceLevel(c, true) },
-		func(c *qc.Circuit) (*qc.Circuit, int, error) { return reduceLevel(c, false) },
-	}
+	// re-synthesizes the CNOT layer). Each is priced by canonical volume;
+	// the cheaper wins, with ties broken toward the light pass so the
+	// output is a deterministic function of the input. The last failure
+	// is kept for the all-failed fall-back message.
+	strategies := []func(*qc.Circuit) (*qc.Circuit, int, error){reduceLight, reduce}
 	var red *qc.Circuit
 	volAfter := 0
 	fallback := ""

@@ -15,7 +15,7 @@ import (
 // cacheKeyVersion tags the option-encoding layout hashed into CacheKey;
 // bump it whenever a semantic Options field is added or the encoding
 // changes so old addresses can never alias new configurations.
-const cacheKeyVersion = 4
+const cacheKeyVersion = 5
 
 // CanonicalOptions returns a copy of opts normalized for content
 // addressing: non-semantic fields are cleared (Hooks callbacks, the
@@ -38,11 +38,9 @@ func CanonicalOptions(opts Options) Options {
 	if opts.PrimalGap < 1 {
 		opts.PrimalGap = 1
 	}
-	// Restarts ≥ 2 takes precedence over Chains (legacy multi-start
-	// semantics), so Chains is then irrelevant to the result.
-	if opts.Place.Restarts >= 2 {
-		opts.Place.Chains = 0
-	}
+	// Chains 0 resolves to a CPU-dependent count, and the chain count
+	// shapes the placement, so the key names the count that will run.
+	opts.Place.Chains = opts.Place.EffectiveChains()
 	// A non-positive partition cap is pass-through, under which the
 	// partition seed never feeds a PRNG.
 	if opts.Partition.MaxQubitsPerPart <= 0 {
@@ -108,7 +106,6 @@ func appendOptions(b []byte, o Options) []byte {
 	b = appendF64(b, o.Place.InitialTemp)
 	b = appendF64(b, o.Place.FinalTemp)
 	b = appendI64(b, int64(o.Place.TierPitch))
-	b = appendI64(b, int64(o.Place.Restarts))
 	b = appendI64(b, int64(o.Place.Chains))
 
 	b = appendI64(b, int64(o.Route.MaxIterations))
@@ -118,8 +115,6 @@ func appendOptions(b []byte, o Options) []byte {
 	b = appendBool(b, o.Route.FriendNets)
 	b = appendI64(b, int64(o.Route.MaxExpansions))
 	b = appendBool(b, o.Route.Fallback)
-	b = appendBool(b, o.Route.Bidirectional)
-	b = appendBool(b, o.Route.Steiner)
 
 	b = appendI64(b, int64(o.Partition.MaxQubitsPerPart))
 	b = appendI64(b, o.Partition.Seed)

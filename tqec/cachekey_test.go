@@ -1,6 +1,7 @@
 package tqec
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/qc"
@@ -48,13 +49,34 @@ func TestCacheKeySensitivity(t *testing.T) {
 		"iterations": func(o *Options) { o.Place.Iterations = 777 },
 		"bridging":   func(o *Options) { o.Bridging = false },
 		"strict":     func(o *Options) { o.StrictRouting = true },
-		"chains":     func(o *Options) { o.Place.Chains = 3 },
+		"chains":     func(o *Options) { o.Place.Chains = o.Place.EffectiveChains() + 1 },
 	} {
 		o := DefaultOptions()
 		mutate(&o)
 		if keyFor(t, testCircuit(), o) == base {
 			t.Errorf("%s: option change did not change the key", name)
 		}
+	}
+}
+
+// TestCacheKeyResolvesChains pins that the content address names the
+// chain count placement will run: Chains 0 resolves to min(GOMAXPROCS, 4),
+// and the chain count shapes the layout, so the default key must follow
+// GOMAXPROCS and equal the key of the explicit count.
+func TestCacheKeyResolvesChains(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	keys := map[int]string{}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		keys[procs] = keyFor(t, testCircuit(), DefaultOptions())
+		explicit := DefaultOptions()
+		explicit.Place.Chains = procs
+		if keyFor(t, testCircuit(), explicit) != keys[procs] {
+			t.Errorf("GOMAXPROCS %d: Chains 0 hashes unlike Chains %d", procs, procs)
+		}
+	}
+	if keys[1] == keys[2] {
+		t.Error("the default key is the same at GOMAXPROCS 1 and 2, where placement runs 1 and 2 chains")
 	}
 }
 
