@@ -1,4 +1,4 @@
-# Build/verify entry points. `make ci` is the full gate: vet, the
+# Build/verify entry points. `make ci` is the full gate: gofmt, vet, the
 # repo-specific tqeclint analyzers (doccomment included — the docs gate),
 # build, race-enabled tests, a replay of the committed fuzz corpora, a
 # one-iteration bench-json smoke run that validates the BENCH_*.json
@@ -14,12 +14,18 @@ GO ?= go
 COVER_MIN ?= 79
 COVER_OUT ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/tqec_cover.out
 
-.PHONY: all build vet lint test race cover fuzz-seeds bench bench-json bench-smoke check chaos perfbench-test ci
+.PHONY: all build fmt vet lint test race cover fuzz-seeds bench bench-json bench-smoke check chaos perfbench-test ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Fail when any Go file, the benchmark module's included, is not
+# gofmt-formatted; the listed files are the ones to run gofmt -w on.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "fmt: not gofmt-formatted:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -103,4 +109,4 @@ chaos:
 perfbench-test:
 	$(GO) -C perfbench test -count=1 ./...
 
-ci: vet lint build race cover fuzz-seeds check bench-smoke chaos perfbench-test
+ci: fmt vet lint build race cover fuzz-seeds check bench-smoke chaos perfbench-test

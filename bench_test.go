@@ -157,13 +157,7 @@ func BenchmarkTable4Dimensions(b *testing.B) {
 func BenchmarkTable5Bridging(b *testing.B) {
 	var vol int
 	for i := 0; i < b.N; i++ {
-		vol = compileOnce(b, func(o *tqec.Options) {
-			o.Bridging = false
-			// Unbridged netlists need more routing resource (the paper's
-			// Table V explanation); match the harness configuration.
-			o.Place.Margin = 2
-			o.Place.TierPitch = 4
-		}).Volume
+		vol = compileOnce(b, func(o *tqec.Options) { o.Bridging = false }).Volume
 	}
 	b.ReportMetric(float64(vol), "volume-wo-bridging")
 }

@@ -19,9 +19,9 @@
 // pipeline, records per-stage wall time, allocation deltas and compression
 // metrics, and writes a schema-versioned JSON artifact (see BENCHMARKS.md).
 // -compare judges a new artifact against an old one and exits non-zero
-// when any time metric regressed by more than -threshold; -summary
-// additionally appends a markdown delta table (routing rows first) to the
-// given file, which CI points at $GITHUB_STEP_SUMMARY.
+// when any time metric regressed by more than -threshold or any volume
+// grew; -summary additionally appends a markdown delta table (routing
+// rows first) to the given file, which CI points at $GITHUB_STEP_SUMMARY.
 // -compare-kernels-only judges only the isolated testing.Benchmark kernel
 // ns/op numbers — the low-noise subset CI gates blockingly (the stage
 // wall-clock comparison stays advisory via -compare-warn).
@@ -249,21 +249,21 @@ func runCompare(args []string, threshold float64, warnOnly, kernelsOnly bool, su
 		if d.Regression {
 			mark = "!"
 		}
-		fmt.Printf("%s %-40s %12d -> %12d ns  (%+.1f%%)\n",
-			mark, d.Metric, d.Old, d.New, (d.Ratio-1)*100)
+		fmt.Printf("%s %-40s %12d -> %12d %-5s (%+.1f%%)\n",
+			mark, d.Metric, d.Old, d.New, d.Unit(), (d.Ratio-1)*100)
 	}
 	for _, m := range rep.Missing {
 		fmt.Printf("? missing in new artifact: %s\n", m)
 	}
 	if regs := rep.Regressions(); len(regs) > 0 {
 		if warnOnly {
-			fmt.Printf("warning: %d metric(s) regressed by more than %.0f%% (informational, not failing)\n",
+			fmt.Printf("warning: %d metric(s) regressed (times by more than %.0f%%, volumes at all; informational, not failing)\n",
 				len(regs), rep.Threshold*100)
 			return nil
 		}
-		return fmt.Errorf("%d metric(s) regressed by more than %.0f%%", len(regs), rep.Threshold*100)
+		return fmt.Errorf("%d metric(s) regressed (times by more than %.0f%%, volumes at all)", len(regs), rep.Threshold*100)
 	}
-	fmt.Printf("no regressions beyond %.0f%% across %d metric(s)\n", rep.Threshold*100, len(rep.Deltas))
+	fmt.Printf("no regressions (times within %.0f%%, no volume growth) across %d metric(s)\n", rep.Threshold*100, len(rep.Deltas))
 	return nil
 }
 
@@ -286,8 +286,12 @@ func writeSummary(path, oldName, newName string, rep *bench.Report) error {
 		if d.Regression {
 			mark = "⚠️ regression"
 		}
-		fmt.Fprintf(&b, "| %s | %.2fms | %.2fms | %+.1f%% | %s |\n",
-			d.Metric, float64(d.Old)/1e6, float64(d.New)/1e6, (d.Ratio-1)*100, mark)
+		oldV, newV := fmt.Sprintf("%.2fms", float64(d.Old)/1e6), fmt.Sprintf("%.2fms", float64(d.New)/1e6)
+		if d.Unit() == "cells" {
+			oldV, newV = fmt.Sprint(d.Old), fmt.Sprint(d.New)
+		}
+		fmt.Fprintf(&b, "| %s | %s | %s | %+.1f%% | %s |\n",
+			d.Metric, oldV, newV, (d.Ratio-1)*100, mark)
 	}
 	for _, d := range rep.Deltas {
 		if strings.Contains(d.Metric, "routing") {

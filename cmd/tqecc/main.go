@@ -58,12 +58,6 @@ func main() {
 	opts.Bridging = !*noBridging
 	opts.ZX = !*noZX
 	opts.PrimalGroups = !*conference
-	if *noBridging {
-		// Unbridged netlists keep every dual segment and net and need
-		// more routing resource (the paper's Table V explanation).
-		opts.Place.Margin = 2
-		opts.Place.TierPitch = 4
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {

@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/qc"
@@ -383,10 +384,10 @@ func validStat(s Stat) error {
 
 // Delta is one compared measurement.
 type Delta struct {
-	// Metric names the measurement ("circuit/total", "circuit/stage", or
-	// "kernel/ns_per_op" style paths).
+	// Metric names the measurement ("circuit/total", "circuit/stage",
+	// "circuit/volume", or "kernel/ns_per_op" style paths).
 	Metric string
-	// Old and New are the compared values (nanoseconds).
+	// Old and New are the compared values, in the unit Unit names.
 	Old, New int64
 	// Ratio is New/Old.
 	Ratio float64
@@ -394,10 +395,19 @@ type Delta struct {
 	Regression bool
 }
 
+// Unit names the unit of Old and New: "cells" for the volume metrics,
+// "ns" for every time.
+func (d Delta) Unit() string {
+	if strings.HasSuffix(d.Metric, "volume") {
+		return "cells"
+	}
+	return "ns"
+}
+
 // Report is the outcome of comparing two artifacts.
 type Report struct {
-	// Threshold is the relative slowdown above which a delta is a
-	// regression (0.10 = 10%).
+	// Threshold is the relative slowdown above which a time delta is a
+	// regression (0.10 = 10%). A volume regresses on any growth.
 	Threshold float64
 	// Deltas lists every compared measurement, in artifact order.
 	Deltas []Delta
@@ -423,8 +433,10 @@ const DefaultThreshold = 0.10
 // Compare judges new against old: every circuit total, per-stage time
 // and kernel cost present in both artifacts is compared by its minimum
 // (the least noisy estimate), and any slowdown strictly beyond threshold
-// is a regression. Metrics only one side has are reported as missing,
-// never judged.
+// is a regression. Every circuit volume and the partitioned whole and
+// split volumes are compared too, and any growth is a regression whatever
+// the threshold, so a speedup cannot quietly buy a worse layout. Metrics
+// only one side has are reported as missing, never judged.
 func Compare(old, cur *File, threshold float64) (*Report, error) {
 	if err := Validate(old); err != nil {
 		return nil, fmt.Errorf("bench: old artifact: %w", err)
@@ -449,6 +461,16 @@ func Compare(old, cur *File, threshold float64) (*Report, error) {
 			Regression: ratio > 1+threshold,
 		})
 	}
+	// Validate guarantees positive volumes on both sides.
+	judgeVolume := func(metric string, oldV, newV int) {
+		rep.Deltas = append(rep.Deltas, Delta{
+			Metric:     metric,
+			Old:        int64(oldV),
+			New:        int64(newV),
+			Ratio:      float64(newV) / float64(oldV),
+			Regression: newV > oldV,
+		})
+	}
 	curCircuits := map[string]Circuit{}
 	for _, c := range cur.Circuits {
 		curCircuits[c.Name] = c
@@ -460,6 +482,7 @@ func Compare(old, cur *File, threshold float64) (*Report, error) {
 			continue
 		}
 		judge(oc.Name+"/total", oc.Total.MinNS, nc.Total.MinNS)
+		judgeVolume(oc.Name+"/volume", oc.Volume, nc.Volume)
 		newStages := map[string]Stat{}
 		for _, s := range nc.Stages {
 			newStages[s.Name] = s.Time
@@ -478,6 +501,8 @@ func Compare(old, cur *File, threshold float64) (*Report, error) {
 	case old.Partitioned != nil && cur.Partitioned != nil:
 		judge("partitioned/whole", old.Partitioned.Whole.MinNS, cur.Partitioned.Whole.MinNS)
 		judge("partitioned/split", old.Partitioned.Split.MinNS, cur.Partitioned.Split.MinNS)
+		judgeVolume("partitioned/whole_volume", old.Partitioned.WholeVolume, cur.Partitioned.WholeVolume)
+		judgeVolume("partitioned/split_volume", old.Partitioned.SplitVolume, cur.Partitioned.SplitVolume)
 	case old.Partitioned != nil:
 		rep.Missing = append(rep.Missing, "partitioned section")
 	}

@@ -317,6 +317,38 @@ func TestComparePartitionedSection(t *testing.T) {
 	}
 }
 
+// TestCompareFlagsVolumeGrowth pins that Compare judges layout quality,
+// not only time: a circuit volume or a partitioned whole or split volume
+// above the baseline is a regression even under a threshold no timing
+// noise reaches, while equal volumes pass.
+func TestCompareFlagsVolumeGrowth(t *testing.T) {
+	old := stubFile(t, 1)
+	old.Partitioned = stubPartitioned()
+	for metric, grow := range map[string]func(*File){
+		"b/volume":                 func(f *File) { f.Circuits[1].Volume++ },
+		"partitioned/whole_volume": func(f *File) { f.Partitioned.WholeVolume++ },
+		"partitioned/split_volume": func(f *File) { f.Partitioned.SplitVolume++ },
+	} {
+		cur := copyFile(old)
+		grow(cur)
+		rep, err := Compare(old, cur, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs := rep.Regressions()
+		if len(regs) != 1 || regs[0].Metric != metric || regs[0].Unit() != "cells" {
+			t.Errorf("%s grown by one cell: regressions %+v", metric, regs)
+		}
+	}
+	rep, err := Compare(old, copyFile(old), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs := rep.Regressions(); len(regs) != 0 {
+		t.Fatalf("identical artifacts regressed: %+v", regs)
+	}
+}
+
 // TestRunPartitionedMeasuresRealCompiles runs the partitioned stage with
 // the smallest workload through the real pipeline and checks the section
 // is complete and internally consistent.
@@ -348,24 +380,29 @@ func TestRunPartitionedMeasuresRealCompiles(t *testing.T) {
 }
 
 // TestCompilePipelineIgnoresCPUCount pins that -bench-out volumes do not
-// depend on the machine: compilePipeline fixes the SA chain count, so
-// 4gt4-v0_73 compiles to the same volume at GOMAXPROCS 1 and 2.
+// depend on the machine and still match the committed artifact:
+// compilePipeline fixes the SA chain count, so every circuit of
+// BENCH_seed.json compiles to its recorded volume at GOMAXPROCS 1 and 2.
 func TestCompilePipelineIgnoresCPUCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real pipeline compiles")
 	}
+	seed, err := ReadFile(filepath.Join("..", "..", "BENCH_seed.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	vols := map[int]int{}
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		res, err := compilePipeline(context.Background(), "4gt4-v0_73", 1)
-		if err != nil {
-			t.Fatal(err)
+		for _, c := range seed.Circuits {
+			res, err := compilePipeline(context.Background(), c.Name, seed.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Volume != c.Volume {
+				t.Errorf("%s volume %d at GOMAXPROCS %d, BENCH_seed.json records %d", c.Name, res.Volume, procs, c.Volume)
+			}
 		}
-		vols[procs] = res.Volume
-	}
-	if vols[1] != vols[2] {
-		t.Fatalf("4gt4-v0_73 volume %d at GOMAXPROCS 1 but %d at 2", vols[1], vols[2])
 	}
 }
 

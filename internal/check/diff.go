@@ -180,11 +180,6 @@ func DiffCacheBytes(ctx context.Context, res *tqec.Result, opts tqec.Options) er
 func DiffBridging(ctx context.Context, res *tqec.Result, opts tqec.Options, maxSimQubits int) (bool, error) {
 	ablOpts := opts
 	ablOpts.Bridging = false
-	// Unbridged netlists keep every dual segment and net and need more
-	// routing resource (the paper's Table V explanation; same settings as
-	// the harness ablation runs).
-	ablOpts.Place.Margin = 2
-	ablOpts.Place.TierPitch = 4
 	abl, err := tqec.CompileContext(ctx, res.Circuit, ablOpts)
 	if err != nil {
 		return false, fmt.Errorf("unbridged compile: %w", err)

@@ -105,14 +105,16 @@ type Clustering struct {
 	noBoxes bool
 }
 
+// maxGroupSize caps the number of modules per primal group (Section
+// III-C1's "upper limit").
+const maxGroupSize = 6
+
 // Options configures clustering.
 type Options struct {
 	// PrimalGroups enables primal-group super-module formation (the
 	// journal version; disable to reproduce the conference version [36]
 	// for Table III).
 	PrimalGroups bool
-	// MaxGroupSize caps the number of modules per primal group.
-	MaxGroupSize int
 	// NoBoxes skips distillation-box attachment; injections are then
 	// treated as raw (level-0) state injections, as inside a distillation
 	// circuit itself.
@@ -121,7 +123,7 @@ type Options struct {
 
 // DefaultOptions returns the journal-version configuration.
 func DefaultOptions() Options {
-	return Options{PrimalGroups: true, MaxGroupSize: 6}
+	return Options{PrimalGroups: true}
 }
 
 // ModuleSize returns the body extents of a module with its current live
@@ -136,9 +138,6 @@ func ModuleSize(nl *modular.Netlist, m int) geom.Point {
 
 // Build clusters the netlist.
 func Build(nl *modular.Netlist, opts Options) (*Clustering, error) {
-	if opts.MaxGroupSize <= 0 {
-		opts.MaxGroupSize = 6
-	}
 	c := &Clustering{
 		NL:       nl,
 		OfModule: make([]int, len(nl.Modules)),
@@ -192,7 +191,7 @@ func Build(nl *modular.Netlist, opts Options) (*Clustering, error) {
 			for _, m := range l.Modules {
 				if c.OfModule[m] < 0 {
 					group = append(group, m)
-					if len(group) == opts.MaxGroupSize {
+					if len(group) == maxGroupSize {
 						break
 					}
 				}

@@ -148,7 +148,7 @@ func TestPrimalGroupsReduceNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	nlB := netlistFor(t, mustGen(t, spec), true)
-	without, err := Build(nlB, Options{PrimalGroups: false, MaxGroupSize: 6})
+	without, err := Build(nlB, Options{PrimalGroups: false})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,13 +161,6 @@ func runOne(ctx context.Context, name string, cfg Config) (*Row, error) {
 	if cfg.Ablations {
 		nb := opts
 		nb.Bridging = false
-		// Unbridged netlists keep every dual segment and every net, so
-		// they need more routing resource: a wider block margin and a
-		// dedicated routing plane per tier face. This is the paper's own
-		// explanation for Table V ("the required routing resource thus
-		// increases, which causes larger space-time volume").
-		nb.Place.Margin = 2
-		nb.Place.TierPitch = 4
 		start = time.Now()
 		if row.NoBridge, err = tqec.CompileContext(ctx, c, nb); err != nil {
 			return nil, err

@@ -297,35 +297,3 @@ func (c *Circuit) Validate() error {
 	}
 	return nil
 }
-
-// LinesOf returns the CNOT IDs touching each line, in program order.
-func (c *Circuit) LinesOf() [][]int {
-	per := make([][]int, len(c.Lines))
-	for _, g := range c.CNOTs {
-		per[g.Control] = append(per[g.Control], g.ID)
-		per[g.Target] = append(per[g.Target], g.ID)
-	}
-	return per
-}
-
-// ScheduleASAP assigns each CNOT the earliest time slot consistent with
-// program order on every line (two CNOTs sharing a line cannot share a
-// slot). It returns the slot of each CNOT and the schedule depth. This is
-// the causal-graph/left-edge depth of Section I-B.
-func (c *Circuit) ScheduleASAP() (slots []int, depth int) {
-	slots = make([]int, len(c.CNOTs))
-	ready := make([]int, len(c.Lines)) // first free slot per line
-	for _, g := range c.CNOTs {
-		s := ready[g.Control]
-		if ready[g.Target] > s {
-			s = ready[g.Target]
-		}
-		slots[g.ID] = s
-		ready[g.Control] = s + 1
-		ready[g.Target] = s + 1
-		if s+1 > depth {
-			depth = s + 1
-		}
-	}
-	return slots, depth
-}

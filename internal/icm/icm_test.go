@@ -139,43 +139,6 @@ func TestFromDecomposedRejectsHighLevelGates(t *testing.T) {
 	}
 }
 
-func TestScheduleASAP(t *testing.T) {
-	c := &Circuit{Name: "sched"}
-	for i := 0; i < 4; i++ {
-		c.newLine(InitZero, MeasOut, "", i)
-	}
-	c.addCNOT(0, 1) // slot 0
-	c.addCNOT(2, 3) // slot 0 (disjoint)
-	c.addCNOT(1, 2) // slot 1 (serializes after both)
-	c.addCNOT(0, 3) // slot 1 (lines 0 and 3 free after slot 0)
-	slots, depth := c.ScheduleASAP()
-	want := []int{0, 0, 1, 1}
-	for i, s := range want {
-		if slots[i] != s {
-			t.Errorf("cnot %d slot %d want %d", i, slots[i], s)
-		}
-	}
-	if depth != 2 {
-		t.Errorf("depth %d want 2", depth)
-	}
-}
-
-func TestLinesOf(t *testing.T) {
-	c := &Circuit{Name: "lines"}
-	for i := 0; i < 3; i++ {
-		c.newLine(InitZero, MeasOut, "", i)
-	}
-	c.addCNOT(0, 1)
-	c.addCNOT(1, 2)
-	per := c.LinesOf()
-	if len(per[0]) != 1 || len(per[1]) != 2 || len(per[2]) != 1 {
-		t.Fatalf("per-line: %v", per)
-	}
-	if per[1][0] != 0 || per[1][1] != 1 {
-		t.Fatalf("line 1 order: %v", per[1])
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	c := qc.New("v", 2)
 	c.Append(qc.T(0))
@@ -229,8 +192,7 @@ func TestBenchmarkStatsIdentities(t *testing.T) {
 	}
 }
 
-// Property: conversion of any generated circuit validates, and every CNOT
-// slot respects per-line ordering in the ASAP schedule.
+// Property: conversion of any generated circuit validates.
 func TestQuickConversionValid(t *testing.T) {
 	f := func(q uint8, nt, nn uint8, seed int64) bool {
 		spec := qc.BenchmarkSpec{
@@ -245,24 +207,7 @@ func TestQuickConversionValid(t *testing.T) {
 			return false
 		}
 		ic, err := FromDecomposed(r.Circuit)
-		if err != nil || ic.Validate() != nil {
-			return false
-		}
-		slots, depth := ic.ScheduleASAP()
-		last := make(map[int]int) // line -> last slot seen
-		for _, g := range ic.CNOTs {
-			s := slots[g.ID]
-			if s >= depth {
-				return false
-			}
-			for _, ln := range []int{g.Control, g.Target} {
-				if prev, ok := last[ln]; ok && s <= prev {
-					return false
-				}
-				last[ln] = s
-			}
-		}
-		return true
+		return err == nil && ic.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func viaParamFlow() tqec.Result {
 // sink.
 func cacheKey(c *qc.Circuit) (string, error) {
 	opts := tqec.Options{}
-	opts.MaxGroupSize = taintsrc.Stamp() % 4
+	opts.Place.Iterations = taintsrc.Stamp() % 4
 	return tqec.CacheKey(c, opts) // want `reaches tqec\.CacheKey content address`
 }
 

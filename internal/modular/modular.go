@@ -113,24 +113,9 @@ type Netlist struct {
 	TeleportModules [][4]int
 }
 
-// Build modularizes the canonical description with the default grouping
-// (penetrations at adjacent slots share a module).
+// Build modularizes the canonical description: penetrations of one line
+// at adjacent canonical slots share a module.
 func Build(d *canonical.Description) (*Netlist, error) {
-	return BuildWithGap(d, 1)
-}
-
-// BuildWithGap modularizes with a configurable slot gap: penetrations of
-// one line whose canonical slots differ by at most gap share a module.
-// gap = 1 is the paper's modularization; larger gaps realize *primal
-// bridging* — the same-type-structure merging Fowler & Devitt allow but
-// the paper leaves unexplored ("we only add a bridge between dual
-// structures to simplify"): two stretches of a line's primal loop are
-// fused across the idle slots between them, trading a longer shared primal
-// loop for fewer, denser modules.
-func BuildWithGap(d *canonical.Description, gap int) (*Netlist, error) {
-	if gap < 1 {
-		return nil, fmt.Errorf("modular: gap must be ≥ 1, got %d", gap)
-	}
 	ic := d.ICM
 	nl := &Netlist{ICM: ic, Canon: d, ModulesOfLine: make([][]int, len(ic.Lines))}
 
@@ -150,7 +135,7 @@ func BuildWithGap(d *canonical.Description, gap int) (*Netlist, error) {
 		sort.Slice(pens, func(i, j int) bool { return pens[i].slot < pens[j].slot })
 		var cur *Module
 		for _, p := range pens {
-			if cur == nil || p.slot > cur.SlotHi+gap {
+			if cur == nil || p.slot > cur.SlotHi+1 {
 				id := len(nl.Modules)
 				nl.Modules = append(nl.Modules, Module{
 					ID:     id,

@@ -80,53 +80,6 @@ func TestAdjacentSlotsShareModule(t *testing.T) {
 	}
 }
 
-func TestBuildWithGapPrimalBridging(t *testing.T) {
-	// CNOT 0 and CNOT 2 touch line 0 with a slot gap of 2: the default
-	// modularization splits them; primal bridging with gap ≥ 2 fuses
-	// them into one module.
-	mk := func() *icm.Circuit {
-		c := qc.New("gapfuse", 4)
-		c.Append(qc.CNOT(0, 1), qc.CNOT(2, 3), qc.CNOT(0, 1))
-		ic, err := icm.FromDecomposed(c)
-		if err != nil {
-			panic(err)
-		}
-		return ic
-	}
-	d1, err := canonical.Build(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, err := BuildWithGap(d1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := canonical.Build(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := BuildWithGap(d2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fused.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(split.ModulesOfLine[0]) != 2 {
-		t.Fatalf("gap=1 should split line 0: %d modules", len(split.ModulesOfLine[0]))
-	}
-	if len(fused.ModulesOfLine[0]) != 1 {
-		t.Fatalf("gap=2 should fuse line 0: %d modules", len(fused.ModulesOfLine[0]))
-	}
-	if len(fused.Modules) >= len(split.Modules) {
-		t.Fatalf("primal bridging should reduce modules: %d vs %d",
-			len(fused.Modules), len(split.Modules))
-	}
-	if _, err := BuildWithGap(d2, 0); err == nil {
-		t.Fatal("gap 0 should be rejected")
-	}
-}
-
 func TestGappedSlotsSplitModules(t *testing.T) {
 	// CNOT 0 and CNOT 2 touch line 0 with a gap (CNOT 1 does not), so
 	// line 0 gets two modules.

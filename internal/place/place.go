@@ -40,28 +40,34 @@ const cancelCheckInterval = 64
 // DefaultTierPitch is the default z distance between consecutive tier
 // bases: two cells of module body plus one shared inter-tier routing plane
 // (the top pins of tier t and the bottom pins of tier t+1 meet in the same
-// gap plane). Congested netlists (e.g. unbridged ablations) can raise
-// Options.TierPitch to 4 for a dedicated routing plane per tier face.
+// gap plane). Congested netlists can raise Options.TierPitch to 4 for a
+// dedicated routing plane per tier face, as tqec does for unbridged
+// compiles.
 const DefaultTierPitch = 3
+
+// The paper's SA parameters: α, β and γ weight volume, wirelength and
+// aspect-ratio deviation in Φ (Eq. 7), aspectTarget is R* = 1:2
+// (width:height), and initialTemp and finalTemp bound the geometric
+// cooling schedule. They are typed so a constant expression over them
+// rounds every operation to float64, exactly as runtime arithmetic does.
+const (
+	alpha        float64 = 0.5
+	beta         float64 = 0.5
+	gamma        float64 = 0.25
+	aspectTarget float64 = 0.5
+	initialTemp  float64 = 0.05
+	finalTemp    float64 = 1e-5
+)
 
 // Options configures the SA engine.
 type Options struct {
-	// Tiers fixes the tier count; 0 derives it from the total block area
-	// so the packed aspect ratio can approach R*.
-	Tiers int
 	// Iterations is the total number of SA moves; 0 derives a budget of
 	// 200 moves per block (the paper runs 2000-3000 outer iterations).
 	Iterations int
 	// Seed drives the SA's PRNG.
 	Seed int64
-	// Alpha, Beta, Gamma weight volume, wirelength and aspect ratio.
-	Alpha, Beta, Gamma float64
-	// AspectTarget is R* (width:height); the paper uses 1:2 = 0.5.
-	AspectTarget float64
 	// Margin expands every block on each side to preserve routing space.
 	Margin int
-	// InitialTemp and FinalTemp bound the geometric cooling schedule.
-	InitialTemp, FinalTemp float64
 	// TierPitch overrides the tier z spacing (0 = DefaultTierPitch).
 	TierPitch int
 	// Chains runs that many cooperating SA chains concurrently with
@@ -76,15 +82,7 @@ type Options struct {
 
 // DefaultOptions returns the paper's parameterization.
 func DefaultOptions() Options {
-	return Options{
-		Alpha:        0.5,
-		Beta:         0.5,
-		Gamma:        0.25,
-		AspectTarget: 0.5,
-		Margin:       1,
-		InitialTemp:  0.05,
-		FinalTemp:    1e-5,
-	}
+	return Options{Margin: 1}
 }
 
 // Placement is the SA result.
@@ -190,12 +188,6 @@ func newEngine(cl *cluster.Clustering, nets []bridge.Net, opts Options) (*engine
 		return nil, fmt.Errorf("place: negative iterations")
 	}
 	opts.Iterations = opts.EffectiveIterations(len(cl.Supers))
-	if opts.InitialTemp <= 0 {
-		opts.InitialTemp = 0.05
-	}
-	if opts.FinalTemp <= 0 || opts.FinalTemp >= opts.InitialTemp {
-		opts.FinalTemp = opts.InitialTemp / 5000
-	}
 	pitch := opts.TierPitch
 	if pitch <= 0 {
 		pitch = DefaultTierPitch
@@ -261,22 +253,15 @@ func (e *engine) assignTiers() error {
 	for _, b := range e.blocks {
 		area += b.W * b.H
 	}
-	n := e.opts.Tiers
-	if n <= 0 {
-		// Aiming for W:H ≈ R* with H = pitch·T and square tiers:
-		// T ≈ (area·R*²/pitch²)^(1/3).
-		r := e.opts.AspectTarget
-		if r <= 0 {
-			r = 0.5
-		}
-		t := math.Cbrt(float64(area) * r * r / float64(e.pitch*e.pitch))
-		n = int(math.Round(t))
-		if n < 1 {
-			n = 1
-		}
-		if n > len(e.blocks) {
-			n = len(e.blocks)
-		}
+	// Aiming for W:H ≈ R* with H = pitch·T and square tiers:
+	// T ≈ (area·R*²/pitch²)^(1/3).
+	t := math.Cbrt(float64(area) * aspectTarget * aspectTarget / float64(e.pitch*e.pitch))
+	n := int(math.Round(t))
+	if n < 1 {
+		n = 1
+	}
+	if n > len(e.blocks) {
+		n = len(e.blocks)
 	}
 	// Big blocks first, round-robin: balances tier areas.
 	order := make([]int, len(e.blocks))
@@ -448,10 +433,10 @@ func (e *engine) evaluateRaw() (v int, r float64, l int) {
 
 func (e *engine) cost() float64 {
 	v, r, l := e.evaluateRaw()
-	dr := r - e.opts.AspectTarget
-	return e.opts.Alpha*float64(v)/e.vnorm +
-		e.opts.Beta*float64(l)/e.lnorm +
-		e.opts.Gamma*dr*dr
+	dr := r - aspectTarget
+	return alpha*float64(v)/e.vnorm +
+		beta*float64(l)/e.lnorm +
+		gamma*dr*dr
 }
 
 // move describes one perturbation and how to undo it.
@@ -552,9 +537,8 @@ func (e *engine) anneal(ctx context.Context, ex *exchanger, chain int) error {
 	e.bestTrees, e.bestTierOf = e.snapshot()
 	e.bestCost = cur
 	n := e.opts.Iterations
-	t0, tEnd := e.opts.InitialTemp, e.opts.FinalTemp
-	decay := math.Pow(tEnd/t0, 1/math.Max(1, float64(n)))
-	temp := t0
+	decay := math.Pow(finalTemp/initialTemp, 1/math.Max(1, float64(n)))
+	temp := initialTemp
 	sinceBest := 0
 	nextMilestone := 0
 	for it := 0; it < n; it++ {
@@ -601,7 +585,7 @@ func (e *engine) anneal(ctx context.Context, ex *exchanger, chain int) error {
 			sinceBest++
 		}
 		// Restart from the best solution when stuck deep in the schedule.
-		if sinceBest > n/4 && temp < t0/100 {
+		if sinceBest > n/4 && temp < initialTemp/100 {
 			e.restoreBest()
 			cur = e.bestCost
 			sinceBest = 0

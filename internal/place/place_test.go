@@ -271,27 +271,6 @@ func TestMarginSeparatesBodies(t *testing.T) {
 	}
 }
 
-func TestAspectRatioPressure(t *testing.T) {
-	// With gamma heavily weighted, the result should lean toward the
-	// target aspect ratio rather than away from it.
-	spec, err := qc.BenchmarkByName("4gt10-v1_81")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, nets := pipeline(t, mustGen(t, spec))
-	o := quickOpts(300)
-	o.Gamma = 2.0
-	p, err := Run(cl, nets, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, h, _ := p.Dims()
-	r := float64(w) / float64(h)
-	if r > 4.0 || r < 0.05 {
-		t.Fatalf("aspect ratio %0.2f wildly off target 0.5", r)
-	}
-}
-
 // mustGen generates a benchmark circuit, failing the test on error.
 func mustGen(tb testing.TB, spec qc.BenchmarkSpec) *qc.Circuit {
 	tb.Helper()

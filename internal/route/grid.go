@@ -296,4 +296,3 @@ func (g *grid) histStats() (cells int, maxCharge float64) {
 	}
 	return cells, maxCharge
 }
-

@@ -36,23 +36,26 @@ import (
 // context checks inside one search.
 const cancelCheckExpansions = 2048
 
+// The negotiation bounds: maxIterations bounds the rip-up-and-reroute
+// rounds after the first pass, initialMargin expands each net's initial
+// search region (the bounding box of its two pins) on every side,
+// expandStep widens a failed net's region each retry, historyWeight scales
+// the congestion history cost, and maxExpansions caps A* node expansions
+// per attempt. The expansion and rip-up bounds are sized so hopeless nets
+// fail fast instead of thrashing congested regions.
+const (
+	maxIterations         = 5
+	initialMargin         = 3
+	expandStep            = 4
+	historyWeight float64 = 1.5
+	maxExpansions         = 60000
+)
+
 // Options configures the router.
 type Options struct {
-	// MaxIterations bounds the rip-up-and-reroute rounds after the first
-	// pass.
-	MaxIterations int
-	// InitialMargin expands each net's initial search region (the
-	// bounding box of its two pins) on every side.
-	InitialMargin int
-	// ExpandStep widens a failed net's region each retry.
-	ExpandStep int
-	// HistoryWeight scales the congestion history cost.
-	HistoryWeight float64
 	// FriendNets toggles friend-net-aware targets (disable for the
 	// ablation: without bridging there are no shared pins anyway).
 	FriendNets bool
-	// MaxExpansions caps A* node expansions per attempt (safety valve).
-	MaxExpansions int
 	// Fallback enables graceful degradation: nets abandoned by the
 	// negotiation rounds are rescued by a last-resort route over the
 	// whole expanded world (larger volume, but connected). Rescued nets
@@ -79,19 +82,10 @@ type Options struct {
 	Clock func() time.Duration
 }
 
-// DefaultOptions returns the standard configuration. The expansion and
-// rip-up bounds are sized so hopeless nets fail fast instead of thrashing
-// congested regions.
+// DefaultOptions returns the standard configuration: friend-net-aware
+// targets and the whole-world fallback rescue.
 func DefaultOptions() Options {
-	return Options{
-		MaxIterations: 5,
-		InitialMargin: 3,
-		ExpandStep:    4,
-		HistoryWeight: 1.5,
-		FriendNets:    true,
-		MaxExpansions: 60000,
-		Fallback:      true,
-	}
+	return Options{FriendNets: true, Fallback: true}
 }
 
 // FailedNet diagnoses one net that exhausted the negotiation rounds.
@@ -272,31 +266,10 @@ func Run(p *place.Placement, opts Options) (*Result, error) {
 // the A* inner loop poll ctx, so a deadline aborts within a bounded number
 // of expansions and returns an error wrapping faults.ErrCanceled.
 func RunContext(ctx context.Context, p *place.Placement, opts Options) (*Result, error) {
-	if opts.MaxIterations < 0 {
-		return nil, fmt.Errorf("route: negative iterations")
-	}
-	if opts.MaxExpansions <= 0 {
-		opts.MaxExpansions = 200000
-	}
 	if err := faults.Canceled(ctx); err != nil {
 		return nil, fmt.Errorf("route: %w", err)
 	}
-	r := &router{
-		p:           p,
-		nets:        p.Nets,
-		opts:        opts,
-		ctx:         ctx,
-		static:      rtree.New(),
-		pinCell:     map[int]geom.Point{},
-		routes:      map[int]geom.Path{},
-		routeBounds: map[int]geom.Box{},
-		netTree:     rtree.New(),
-		friends:     map[int][]int{},
-		eps:         make([]netEndpoints, len(p.Nets)),
-		pinRev:      map[int]uint64{},
-		dirtyPins:   map[int]bool{},
-		result:      &Result{Routes: map[int]geom.Path{}},
-	}
+	r := newRouter(ctx, p, p.Nets, opts)
 	if err := r.build(); err != nil {
 		return nil, err
 	}
@@ -306,6 +279,28 @@ func RunContext(ctx context.Context, p *place.Placement, opts Options) (*Result,
 	}
 	r.finish()
 	return r.result, nil
+}
+
+// newRouter returns a router over nets with empty routing state; p is nil
+// for seam routing. build or buildSeams then fills in the obstacles, pin
+// cells and grid.
+func newRouter(ctx context.Context, p *place.Placement, nets []bridge.Net, opts Options) *router {
+	return &router{
+		p:           p,
+		nets:        nets,
+		opts:        opts,
+		ctx:         ctx,
+		static:      rtree.New(),
+		pinCell:     map[int]geom.Point{},
+		routes:      map[int]geom.Path{},
+		routeBounds: map[int]geom.Box{},
+		netTree:     rtree.New(),
+		friends:     map[int][]int{},
+		eps:         make([]netEndpoints, len(nets)),
+		pinRev:      map[int]uint64{},
+		dirtyPins:   map[int]bool{},
+		result:      &Result{Routes: map[int]geom.Path{}},
+	}
 }
 
 // tick samples the injected clock; it returns 0 when timing is disabled,
@@ -339,23 +334,11 @@ func (r *router) build() error {
 	cl := r.p.Clust
 	staticCells := map[geom.Point]bool{}
 	cellPin := map[geom.Point]int{}
-	rasterize := func(b geom.Box) {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			for y := b.Min.Y; y < b.Max.Y; y++ {
-				for z := b.Min.Z; z < b.Max.Z; z++ {
-					staticCells[geom.Pt(x, y, z)] = true
-				}
-			}
-		}
-	}
 	for m := range cl.NL.Modules {
-		b := r.p.ModuleBox(m)
-		r.static.Insert(b, -1)
-		rasterize(b)
+		r.addObstacle(r.p.ModuleBox(m), staticCells)
 	}
 	for _, b := range r.p.BoxObstacles() {
-		r.static.Insert(b, -1)
-		rasterize(b)
+		r.addObstacle(b, staticCells)
 	}
 	for _, n := range r.nets {
 		for _, pid := range []int{n.PinA, n.PinB} {
@@ -376,17 +359,35 @@ func (r *router) build() error {
 		r.friends[n.PinA] = append(r.friends[n.PinA], n.ID)
 		r.friends[n.PinB] = append(r.friends[n.PinB], n.ID)
 	}
-	// The routable world: everything placed, expanded generously so
-	// detours around the hull remain possible.
 	r.base = r.p.Bounds()
+	r.buildGrid(staticCells, cellPin)
+	return nil
+}
+
+// addObstacle indexes a static obstacle box in the R-tree and rasterizes
+// its cells into staticCells.
+func (r *router) addObstacle(b geom.Box, staticCells map[geom.Point]bool) {
+	r.static.Insert(b, -1)
+	for x := b.Min.X; x < b.Max.X; x++ {
+		for y := b.Min.Y; y < b.Max.Y; y++ {
+			for z := b.Min.Z; z < b.Max.Z; z++ {
+				staticCells[geom.Pt(x, y, z)] = true
+			}
+		}
+	}
+}
+
+// buildGrid derives the routable world from r.base and the pin cells —
+// everything placed, expanded generously so detours around the hull
+// remain possible — and transfers the build-time maps into the
+// world-indexed grid. Both transfers only set independent per-cell flags,
+// so map iteration order cannot influence the result.
+func (r *router) buildGrid(staticCells map[geom.Point]bool, cellPin map[geom.Point]int) {
 	bounds := r.base
 	for _, c := range r.pinCell {
 		bounds = bounds.UnionPoint(c)
 	}
-	r.world = bounds.Expand(6 + 2*r.opts.MaxIterations*r.opts.ExpandStep)
-	// Transfer the build-time maps into the world-indexed grid. Both
-	// transfers only set independent per-cell flags, so map iteration
-	// order cannot influence the result.
+	r.world = bounds.Expand(6 + 2*maxIterations*expandStep)
 	r.grid = newGrid(r.world)
 	for c := range staticCells {
 		r.grid.setStatic(c)
@@ -394,7 +395,6 @@ func (r *router) build() error {
 	for c, pid := range cellPin {
 		r.grid.setPin(c, pid)
 	}
-	return nil
 }
 
 // homePin resolves pin-cell collisions: with the shared inter-tier routing
@@ -465,7 +465,7 @@ func (r *router) route() {
 
 	margin := make([]int, len(r.nets))
 	for i := range margin {
-		margin[i] = r.opts.InitialMargin
+		margin[i] = initialMargin
 	}
 
 	failed := r.firstPass(order, margin)
@@ -474,26 +474,26 @@ func (r *router) route() {
 	}
 	r.result.Iterations = 1
 
-	// Negotiation bounds: a net is retried at most MaxIterations times,
+	// Negotiation bounds: a net is retried at most maxIterations times,
 	// and the total rip-up budget is proportional to the netlist size —
 	// without these, a handful of genuinely unroutable nets can thrash
 	// the whole region indefinitely.
 	attempts := make([]int, len(r.nets))
 	ripBudget := 3 * len(r.nets)
 	var abandoned []int
-	for iter := 0; iter < r.opts.MaxIterations && len(failed) > 0; iter++ {
+	for iter := 0; iter < maxIterations && len(failed) > 0; iter++ {
 		r.result.Iterations++
 		var still []int
 		for _, idx := range failed {
 			if r.checkCtx() {
 				return
 			}
-			if attempts[idx] >= r.opts.MaxIterations {
+			if attempts[idx] >= maxIterations {
 				abandoned = append(abandoned, idx)
 				continue
 			}
 			attempts[idx]++
-			margin[idx] += r.opts.ExpandStep
+			margin[idx] += expandStep
 			n := r.nets[idx]
 			if r.tryRoute(n, margin[idx]) {
 				continue
@@ -513,7 +513,7 @@ func (r *router) route() {
 				// Re-route the victims immediately (they keep their
 				// original margins).
 				for _, v := range ripped {
-					if !r.tryRoute(r.nets[v], margin[v]+r.opts.ExpandStep) {
+					if !r.tryRoute(r.nets[v], margin[v]+expandStep) {
 						still = append(still, v)
 					}
 				}
@@ -999,7 +999,7 @@ func (r *router) repairDangling(margin []int) []int {
 		}
 		for _, id := range bad {
 			n := r.nets[id]
-			m := margin[id] + r.opts.ExpandStep
+			m := margin[id] + expandStep
 			if r.tryRoute(n, m) {
 				continue
 			}
@@ -1015,7 +1015,7 @@ func (r *router) repairDangling(margin []int) []int {
 				lost = append(lost, id)
 			}
 			for _, v := range ripped {
-				if !r.tryRoute(r.nets[v], margin[v]+r.opts.ExpandStep) {
+				if !r.tryRoute(r.nets[v], margin[v]+expandStep) {
 					lost = append(lost, v)
 				}
 			}

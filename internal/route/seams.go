@@ -35,12 +35,6 @@ type SeamNet struct {
 // so every net is a plain two-terminal route. The result is deterministic
 // for identical inputs and options.
 func RouteSeams(ctx context.Context, obstacles []geom.Box, nets []SeamNet, base geom.Box, opts Options) (*Result, error) {
-	if opts.MaxIterations < 0 {
-		return nil, fmt.Errorf("route: negative iterations")
-	}
-	if opts.MaxExpansions <= 0 {
-		opts.MaxExpansions = 200000
-	}
 	opts.FriendNets = false
 	if err := faults.Canceled(ctx); err != nil {
 		return nil, fmt.Errorf("route: %w", err)
@@ -49,21 +43,7 @@ func RouteSeams(ctx context.Context, obstacles []geom.Box, nets []SeamNet, base 
 	for i := range nets {
 		bnets[i] = bridge.Net{ID: i, PinA: 2 * i, PinB: 2*i + 1}
 	}
-	r := &router{
-		nets:        bnets,
-		opts:        opts,
-		ctx:         ctx,
-		static:      rtree.New(),
-		pinCell:     map[int]geom.Point{},
-		routes:      map[int]geom.Path{},
-		routeBounds: map[int]geom.Box{},
-		netTree:     rtree.New(),
-		friends:     map[int][]int{},
-		eps:         make([]netEndpoints, len(bnets)),
-		pinRev:      map[int]uint64{},
-		dirtyPins:   map[int]bool{},
-		result:      &Result{Routes: map[int]geom.Path{}},
-	}
+	r := newRouter(ctx, nil, bnets, opts)
 	if err := r.buildSeams(obstacles, nets, base); err != nil {
 		return nil, err
 	}
@@ -83,16 +63,8 @@ func RouteSeams(ctx context.Context, obstacles []geom.Box, nets []SeamNet, base 
 func (r *router) buildSeams(obstacles []geom.Box, nets []SeamNet, base geom.Box) error {
 	staticCells := map[geom.Point]bool{}
 	for _, b := range obstacles {
-		if b.Volume() <= 0 {
-			continue
-		}
-		r.static.Insert(b, -1)
-		for x := b.Min.X; x < b.Max.X; x++ {
-			for y := b.Min.Y; y < b.Max.Y; y++ {
-				for z := b.Min.Z; z < b.Max.Z; z++ {
-					staticCells[geom.Pt(x, y, z)] = true
-				}
-			}
+		if b.Volume() > 0 {
+			r.addObstacle(b, staticCells)
 		}
 	}
 	cellPin := map[geom.Point]int{}
@@ -117,18 +89,7 @@ func (r *router) buildSeams(obstacles []geom.Box, nets []SeamNet, base geom.Box)
 	for _, b := range obstacles {
 		r.base = r.base.Union(b)
 	}
-	bounds := r.base
-	for _, c := range r.pinCell {
-		bounds = bounds.UnionPoint(c)
-	}
-	r.world = bounds.Expand(6 + 2*r.opts.MaxIterations*r.opts.ExpandStep)
-	r.grid = newGrid(r.world)
-	for c := range staticCells {
-		r.grid.setStatic(c)
-	}
-	for c, pid := range cellPin {
-		r.grid.setPin(c, pid)
-	}
+	r.buildGrid(staticCells, cellPin)
 	return nil
 }
 

@@ -332,7 +332,7 @@ func shovable(n bridge.Net, net, pin int32, static bool) bool {
 // the same kernel code and return identical paths.
 func (r *router) astar(n bridge.Net, ep *netEndpoints, region geom.Box) geom.Path {
 	// A region can never yield more useful expansions than it has cells.
-	maxExp := r.opts.MaxExpansions
+	maxExp := maxExpansions
 	if r.inFallback {
 		// The rescue pass searches the whole world; give it more room
 		// (still bounded so enclosed pins cannot wedge the router).
@@ -461,7 +461,7 @@ func (r *router) astarUni(n bridge.Net, starts, targets []geom.Point, tbox geom.
 				}
 				hist = h
 			}
-			ng := cur.g + 1 + r.opts.HistoryWeight*hist + pen
+			ng := cur.g + 1 + historyWeight*hist + pen
 			if s.seen(ni) && ng >= s.g[ni] {
 				continue
 			}
@@ -474,7 +474,7 @@ func (r *router) astarUni(n bridge.Net, starts, targets []geom.Point, tbox geom.
 
 // astarBidi is the bidirectional kernel for single-start/single-target
 // nets: one frontier grows from the start with the forward cost model
-// (entering a cell costs 1 + HistoryWeight·hist(cell)), one from the
+// (entering a cell costs 1 + historyWeight·hist(cell)), one from the
 // target with the mirrored model (leaving toward the target charges the
 // cell being left), so for any cell m the sum gf(m)+gb(m) is exactly the
 // cost of the concatenated start→m→target path. Whenever either side
@@ -560,7 +560,7 @@ func (r *router) astarBidi(n bridge.Net, start, target geom.Point, region geom.B
 			} else {
 				_, _, _, hist = gr.cellState(cell)
 			}
-			leaveCost = r.opts.HistoryWeight * hist
+			leaveCost = historyWeight * hist
 		}
 		hbox := tbox
 		if !forward {
@@ -597,7 +597,7 @@ func (r *router) astarBidi(n bridge.Net, start, target geom.Point, region geom.B
 			}
 			var ng float64
 			if forward {
-				ng = cur.g + 1 + r.opts.HistoryWeight*hist
+				ng = cur.g + 1 + historyWeight*hist
 			} else {
 				ng = cur.g + 1 + leaveCost
 			}

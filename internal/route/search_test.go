@@ -9,32 +9,13 @@ import (
 	"repro/internal/bridge"
 	"repro/internal/geom"
 	"repro/internal/place"
-	"repro/internal/rtree"
 )
 
 // newTestRouter builds a router over pl exactly as RunContext does, but
 // stops before routing so tests can drive internal phases directly.
 func newTestRouter(t *testing.T, pl *place.Placement, opts Options) *router {
 	t.Helper()
-	if opts.MaxExpansions <= 0 {
-		opts.MaxExpansions = 200000
-	}
-	r := &router{
-		p:           pl,
-		nets:        pl.Nets,
-		opts:        opts,
-		ctx:         context.Background(),
-		static:      rtree.New(),
-		pinCell:     map[int]geom.Point{},
-		routes:      map[int]geom.Path{},
-		routeBounds: map[int]geom.Box{},
-		netTree:     rtree.New(),
-		friends:     map[int][]int{},
-		eps:         make([]netEndpoints, len(pl.Nets)),
-		pinRev:      map[int]uint64{},
-		dirtyPins:   map[int]bool{},
-		result:      &Result{Routes: map[int]geom.Path{}},
-	}
+	r := newRouter(context.Background(), pl, pl.Nets, opts)
 	if err := r.build(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +123,7 @@ func TestBidiUniEquivalence(t *testing.T) {
 		found++
 		checkLegalPath(t, r, uni, start, target)
 		checkLegalPath(t, r, bidi, start, target)
-		hw := r.opts.HistoryWeight
+		hw := historyWeight
 		if uc, bc := pathCost(r.grid, uni, hw), pathCost(r.grid, bidi, hw); uc != bc {
 			t.Fatalf("trial %d: cost disagrees: uni=%v bidi=%v", trial, uc, bc)
 		}
@@ -199,7 +180,7 @@ func TestColorBatchesConflictFree(t *testing.T) {
 	}
 	margin := make([]int, len(r.nets))
 	for i := range margin {
-		margin[i] = r.opts.InitialMargin
+		margin[i] = initialMargin
 	}
 	batches := r.colorBatches(order, margin)
 

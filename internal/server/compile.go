@@ -192,12 +192,6 @@ func requestOptions(o CompileOptions) tqec.Options {
 	opts.PrimalGroups = !o.Conference
 	opts.NoBoxes = o.NoBoxes
 	opts.StrictRouting = o.StrictRouting
-	if o.NoBridging {
-		// Unbridged netlists keep every dual segment and net and need
-		// more routing resource (the paper's Table V explanation).
-		opts.Place.Margin = 2
-		opts.Place.TierPitch = 4
-	}
 	return opts
 }
 

@@ -107,8 +107,7 @@ func TestBreakerOpensAndSheds(t *testing.T) {
 
 // TestAdmissionControl drives the admission estimate directly: a loaded
 // queue plus a latency estimate far beyond the request deadline must
-// reject on arrival with 429 and Retry-After, and DisableAdmission must
-// let the same request through to ordinary queueing.
+// reject on arrival with 429 and Retry-After.
 func TestAdmissionControl(t *testing.T) {
 	s, err := New(testConfig()) // pool never started: queued tasks stay put
 	if err != nil {
@@ -139,22 +138,5 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if snap.Resilience.AdmissionRejected != 1 {
 		t.Fatalf("admission_rejected = %d, want 1", snap.Resilience.AdmissionRejected)
-	}
-
-	// Same pressure, admission off: the request queues normally (202).
-	cfg := testConfig()
-	cfg.DisableAdmission = true
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.compileEWMA.Store(int64(10 * time.Second))
-	for i := 0; i < 2; i++ {
-		if err := s2.pool.enqueue(&task{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w := post(s2, "/v1/jobs", body); w.Code != 202 {
-		t.Fatalf("disabled admission still rejected: %d %s", w.Code, w.Body)
 	}
 }

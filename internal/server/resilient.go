@@ -48,9 +48,6 @@ func (s *Server) gate(timeout time.Duration) *apiError {
 // or route elsewhere. With no latency estimate yet (a cold server) or an
 // idle worker available, everything is admitted.
 func (s *Server) admit(timeout time.Duration) *apiError {
-	if s.cfg.DisableAdmission {
-		return nil
-	}
 	ew := s.compileEWMA.Load()
 	if ew <= 0 {
 		return nil
@@ -99,9 +96,9 @@ func (s *Server) compileWithRetry(ctx context.Context, ct *compileTask) ([]byte,
 	var out []byte
 	var lastErr error
 	p := resilience.Policy{
-		MaxAttempts: s.cfg.Retry.MaxAttempts,
-		BaseDelay:   s.cfg.Retry.BaseDelay,
-		MaxDelay:    s.cfg.Retry.MaxDelay,
+		MaxAttempts: retryAttempts,
+		BaseDelay:   retryBaseDelay,
+		MaxDelay:    retryMaxDelay,
 		JitterSeed:  seedFromKey(ct.key),
 		OnRetry:     func(int, error, time.Duration) { s.retries.Inc() },
 	}

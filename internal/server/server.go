@@ -57,13 +57,27 @@ type Journal interface {
 	Stats() journal.Stats
 }
 
+// maxBodyBytes bounds request bodies.
+const maxBodyBytes = 4 << 20
+
+// The compile retry policy for transient-class failures: retryAttempts
+// bounds compile attempts per request, and the backoff grows from
+// retryBaseDelay to at most retryMaxDelay. Workers sleep through the
+// backoff, so it stays small.
+const (
+	retryAttempts  = 3
+	retryBaseDelay = 5 * time.Millisecond
+	retryMaxDelay  = 100 * time.Millisecond
+)
+
 // Config sizes the service. Zero values mean defaults.
 type Config struct {
 	// Workers is the worker-pool size (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the FIFO job queue (default 64).
 	QueueDepth int
-	// CacheBytes bounds the result cache payload bytes (default 64 MiB).
+	// CacheBytes bounds the result cache payload bytes (0 means the
+	// default 64 MiB; a negative budget disables caching).
 	CacheBytes int64
 	// PartitionQubits, when positive, makes partitioned compilation the
 	// default: requests that leave partition_qubits at 0 compile with
@@ -80,8 +94,6 @@ type Config struct {
 	// JobTTL bounds how long finished async jobs stay pollable (default
 	// 15m; negative disables TTL eviction, leaving only the MaxJobs cap).
 	JobTTL time.Duration
-	// MaxBodyBytes bounds request bodies (default 4 MiB).
-	MaxBodyBytes int64
 	// Journal, when non-nil, makes async jobs durable: every lifecycle
 	// event is appended (and fsync'd) before the server acknowledges it,
 	// and New replays the journal's recovered states — re-enqueueing
@@ -95,27 +107,9 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker sheds load before
 	// probing (default 10s).
 	BreakerCooldown time.Duration
-	// DisableAdmission turns off deadline-aware admission control, which
-	// otherwise rejects a request on arrival (429 + Retry-After) when the
-	// queue's estimated drain time already exceeds its deadline.
-	DisableAdmission bool
 	// AllowFaultInjection admits the fault_attempts chaos hook in request
 	// options. Leave off outside tests and chaos drills.
 	AllowFaultInjection bool
-	// Retry tunes the transient-failure retry inside the compile path.
-	// Zero fields mean defaults (3 attempts, 5ms..100ms backoff).
-	Retry RetryConfig
-}
-
-// RetryConfig tunes the server's compile retry loop.
-type RetryConfig struct {
-	// MaxAttempts bounds compile attempts per request (default 3).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 5ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff; workers sleep through it, so it stays
-	// small (default 100ms).
-	MaxDelay time.Duration
 }
 
 // withDefaults fills unset fields.
@@ -126,7 +120,7 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.CacheBytes <= 0 {
+	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
 	}
 	if c.DefaultTimeout <= 0 {
@@ -141,23 +135,11 @@ func (c Config) withDefaults() Config {
 	if c.JobTTL == 0 {
 		c.JobTTL = 15 * time.Minute
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 8
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 10 * time.Second
-	}
-	if c.Retry.MaxAttempts <= 0 {
-		c.Retry.MaxAttempts = 3
-	}
-	if c.Retry.BaseDelay <= 0 {
-		c.Retry.BaseDelay = 5 * time.Millisecond
-	}
-	if c.Retry.MaxDelay <= 0 {
-		c.Retry.MaxDelay = 100 * time.Millisecond
 	}
 	return c
 }
@@ -322,7 +304,7 @@ func (s *Server) observeStages(b *metrics.Breakdown) {
 // bypass them, since serving a hit consumes no worker.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
-	ct, aerr := parseCompileRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.cfg.limits())
+	ct, aerr := parseCompileRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), s.cfg.limits())
 	if aerr != nil {
 		s.writeError(w, aerr)
 		return
@@ -365,7 +347,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // response, so a crash after acknowledgement cannot lose the job.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.writeError(w, badRequest(fmt.Sprintf("invalid request body: %v", err)))
 		return

@@ -110,6 +110,28 @@ func TestCompileSyncCacheAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestNegativeCacheBytesDisablesCache pins the tqecd -cache-bytes
+// contract: a negative budget disables the result cache, so a repeated
+// compile misses again and nothing is stored.
+func TestNegativeCacheBytesDisablesCache(t *testing.T) {
+	cfg := testConfig()
+	cfg.CacheBytes = -1
+	s := startServer(t, cfg)
+	body := compileBody(t, realSrc, "fig4", CompileOptions{Seed: 7, Iterations: 2000})
+	for i := 0; i < 2; i++ {
+		w := post(s, "/v1/compile", body)
+		if w.Code != 200 {
+			t.Fatalf("compile %d: %d %s", i, w.Code, w.Body)
+		}
+		if got := w.Header().Get("X-Tqecd-Cache"); got != "miss" {
+			t.Fatalf("compile %d cache header = %q, want miss", i, got)
+		}
+	}
+	if n := s.cache.Stats().Entries; n != 0 {
+		t.Fatalf("disabled cache holds %d entries", n)
+	}
+}
+
 func TestCompileBenchSource(t *testing.T) {
 	s := startServer(t, testConfig())
 	b, err := json.Marshal(CompileRequest{Bench: "4gt10-v1_81", Options: CompileOptions{Seed: 1, Iterations: 2000}})

@@ -53,10 +53,10 @@ func decodeFuzzCircuit(qubits int, data []byte) *qc.Circuit {
 // (state-vector checked — every decoded circuit is small enough), and
 // Optimize never returns a canonically costlier circuit than its input.
 func FuzzZXRewrite(f *testing.F) {
-	f.Add(2, []byte{0x00, 0x01, 0x11, 0x00, 0x51, 0x01})         // CNOT + T + Tdag
-	f.Add(3, []byte{0x11, 0x00, 0x11, 0x00, 0x00, 0x00})         // T.T fuses to P
-	f.Add(4, []byte{0x66, 0x02, 0x00, 0x02, 0x88, 0x03})         // V, CNOT, Vdag
-	f.Add(1, []byte{0x22, 0x00, 0x42, 0x00, 0x31, 0x01})         // P.Pdag.Z
+	f.Add(2, []byte{0x00, 0x01, 0x11, 0x00, 0x51, 0x01})             // CNOT + T + Tdag
+	f.Add(3, []byte{0x11, 0x00, 0x11, 0x00, 0x00, 0x00})             // T.T fuses to P
+	f.Add(4, []byte{0x66, 0x02, 0x00, 0x02, 0x88, 0x03})             // V, CNOT, Vdag
+	f.Add(1, []byte{0x22, 0x00, 0x42, 0x00, 0x31, 0x01})             // P.Pdag.Z
 	f.Add(5, []byte{0x10, 0x00, 0x00, 0x01, 0x70, 0x02, 0x13, 0x03}) // mixed
 	f.Fuzz(func(t *testing.T, qubits int, data []byte) {
 		c := decodeFuzzCircuit(qubits, data)

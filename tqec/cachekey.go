@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
 
 	"repro/internal/decompose"
 	"repro/internal/icm"
@@ -15,29 +14,22 @@ import (
 // cacheKeyVersion tags the option-encoding layout hashed into CacheKey;
 // bump it whenever a semantic Options field is added or the encoding
 // changes so old addresses can never alias new configurations.
-const cacheKeyVersion = 5
+const cacheKeyVersion = 6
 
 // CanonicalOptions returns a copy of opts normalized for content
 // addressing: non-semantic fields are cleared (Hooks callbacks, the
 // route fault-injection hook, the stage-timing Clock, the Serial
 // debugging toggle, which is provably equivalent to the batched pass) and
-// out-of-range values are
-// clamped exactly the way the pipeline clamps them, so two Options values
-// that compile identically canonicalize — and therefore hash — identically.
+// values the pipeline resolves — the unbridged routing resource, the
+// chain count, a pass-through partition — are resolved the same way, so
+// two Options values that compile identically canonicalize, and therefore
+// hash, identically.
 func CanonicalOptions(opts Options) Options {
 	opts.Hooks = Hooks{}
 	opts.Route.FailNet = nil
 	opts.Route.Serial = false
 	opts.Route.Clock = nil
-	if opts.Retry.MaxAttempts < 1 {
-		opts.Retry.MaxAttempts = 1
-	}
-	if opts.Retry.Escalation <= 1 {
-		opts.Retry.Escalation = 2
-	}
-	if opts.PrimalGap < 1 {
-		opts.PrimalGap = 1
-	}
+	opts = withRoutingResource(opts)
 	// Chains 0 resolves to a CPU-dependent count, and the chain count
 	// shapes the placement, so the key names the count that will run.
 	opts.Place.Chains = opts.Place.EffectiveChains()
@@ -88,32 +80,16 @@ func appendOptions(b []byte, o Options) []byte {
 	b = appendBool(b, o.Bridging)
 	b = appendBool(b, o.ZX)
 	b = appendBool(b, o.PrimalGroups)
-	b = appendI64(b, int64(o.MaxGroupSize))
 	b = appendBool(b, o.NoBoxes)
-	b = appendI64(b, int64(o.PrimalGap))
 	b = appendBool(b, o.StrictRouting)
-	b = appendI64(b, int64(o.Retry.MaxAttempts))
-	b = appendF64(b, o.Retry.Escalation)
 
-	b = appendI64(b, int64(o.Place.Tiers))
 	b = appendI64(b, int64(o.Place.Iterations))
 	b = appendI64(b, o.Place.Seed)
-	b = appendF64(b, o.Place.Alpha)
-	b = appendF64(b, o.Place.Beta)
-	b = appendF64(b, o.Place.Gamma)
-	b = appendF64(b, o.Place.AspectTarget)
 	b = appendI64(b, int64(o.Place.Margin))
-	b = appendF64(b, o.Place.InitialTemp)
-	b = appendF64(b, o.Place.FinalTemp)
 	b = appendI64(b, int64(o.Place.TierPitch))
 	b = appendI64(b, int64(o.Place.Chains))
 
-	b = appendI64(b, int64(o.Route.MaxIterations))
-	b = appendI64(b, int64(o.Route.InitialMargin))
-	b = appendI64(b, int64(o.Route.ExpandStep))
-	b = appendF64(b, o.Route.HistoryWeight)
 	b = appendBool(b, o.Route.FriendNets)
-	b = appendI64(b, int64(o.Route.MaxExpansions))
 	b = appendBool(b, o.Route.Fallback)
 
 	b = appendI64(b, int64(o.Partition.MaxQubitsPerPart))
@@ -124,11 +100,6 @@ func appendOptions(b []byte, o Options) []byte {
 // appendI64 appends a little-endian int64.
 func appendI64(b []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(v))
-}
-
-// appendF64 appends a float64's IEEE-754 bits.
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
 // appendBool appends one byte, 0 or 1.

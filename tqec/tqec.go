@@ -25,9 +25,9 @@
 // the cause. Residual panics anywhere in a stage are recovered and
 // converted into a StageError carrying the goroutine stack. Placement
 // validation failures are retried with derived seeds and an escalated SA
-// budget (Options.Retry); routing failures degrade gracefully into
-// per-net diagnostics and an optional whole-world fallback route
-// (Result.Degraded, Routing.FailedNets) instead of aborting compilation.
+// budget; routing failures degrade gracefully into per-net diagnostics and
+// an optional whole-world fallback route (Result.Degraded,
+// Routing.FailedNets) instead of aborting compilation.
 package tqec
 
 import (
@@ -52,17 +52,14 @@ import (
 	"repro/internal/zx"
 )
 
-// Retry configures the staged retry-with-escalation policy applied when a
-// placement fails structural validation (overlap or time-ordering).
-type Retry struct {
-	// MaxAttempts is the total number of placement attempts, including
-	// the first. Values below 1 mean a single attempt (no retries).
-	MaxAttempts int
-	// Escalation multiplies the SA iteration budget on each retry
-	// (attempt k runs with base·Escalation^k moves). Values at or below
-	// 1 fall back to 2.
-	Escalation float64
-}
+// The routing resource of an unbridged compile: its netlist keeps every
+// dual segment and net, so placement leaves a wider block margin and a
+// dedicated routing plane per tier face (the paper's explanation of Table
+// V, "the required routing resource thus increases").
+const (
+	unbridgedMargin    = 2
+	unbridgedTierPitch = 4
+)
 
 // Hooks lets callers observe or perturb the pipeline. The harness uses
 // BeforeStage for fault injection (forced errors, panics, cancellation).
@@ -75,7 +72,10 @@ type Hooks struct {
 // Options configures a compilation.
 type Options struct {
 	// Bridging enables the iterative bridging stage (disable to
-	// reproduce the paper's "w/o bridging" ablation, Table V).
+	// reproduce the paper's "w/o bridging" ablation, Table V). An
+	// unbridged netlist needs more routing resource, so with Bridging off
+	// the pipeline places with Place.Margin 2 and Place.TierPitch 4,
+	// whatever those fields hold.
 	Bridging bool
 	// ZX enables the ZX-calculus pre-compression pass on the decomposed
 	// circuit before ICM conversion (disable for the paper-faithful
@@ -87,23 +87,14 @@ type Options struct {
 	// PrimalGroups enables primal-group super-modules (disable to
 	// reproduce the conference version [36], Table III).
 	PrimalGroups bool
-	// MaxGroupSize caps primal-group membership.
-	MaxGroupSize int
 	// NoBoxes skips distillation-box attachment: injections are treated
 	// as raw state injections (used when compressing a distillation
 	// circuit itself).
 	NoBoxes bool
-	// PrimalGap controls primal bridging, an extension beyond the paper:
-	// penetrations of one line within this many canonical slots share a
-	// module (fusing stretches of the primal loop across idle slots).
-	// 0 or 1 reproduces the paper's dual-only bridging.
-	PrimalGap int
 	// StrictRouting turns residual routing failures (nets unroutable
 	// even by the whole-world fallback) into an ErrUnroutable
 	// compilation error instead of a degraded result.
 	StrictRouting bool
-	// Retry governs placement retry-with-escalation.
-	Retry Retry
 	// Hooks are observation/fault-injection callbacks.
 	Hooks Hooks
 	// Place configures the SA placement engine.
@@ -126,8 +117,6 @@ func DefaultOptions() Options {
 		Bridging:     true,
 		ZX:           true,
 		PrimalGroups: true,
-		MaxGroupSize: 6,
-		Retry:        Retry{MaxAttempts: 3, Escalation: 2},
 		Place:        place.DefaultOptions(),
 		Route:        route.DefaultOptions(),
 	}
@@ -289,8 +278,19 @@ func runStage(b *metrics.Breakdown, mStage string, stage Stage, hooks Hooks, fn 
 	return nil
 }
 
+// withRoutingResource applies the unbridged routing resource (see
+// Options.Bridging); bridged options pass through unchanged.
+func withRoutingResource(opts Options) Options {
+	if !opts.Bridging {
+		opts.Place.Margin = unbridgedMargin
+		opts.Place.TierPitch = unbridgedTierPitch
+	}
+	return opts
+}
+
 // compileFrom continues the pipeline after res.ICM is set.
 func compileFrom(ctx context.Context, res *Result, opts Options) (*Result, error) {
+	opts = withRoutingResource(opts)
 	// Canonical description and modularization (charged to "other" per
 	// Table VI).
 	err := runStage(res.Breakdown, metrics.StageOther, StagePreprocess, opts.Hooks, func() error {
@@ -301,11 +301,7 @@ func compileFrom(ctx context.Context, res *Result, opts Options) (*Result, error
 		if res.Canonical, err = canonical.Build(res.ICM); err != nil {
 			return err
 		}
-		gap := opts.PrimalGap
-		if gap < 1 {
-			gap = 1
-		}
-		res.Netlist, err = modular.BuildWithGap(res.Canonical, gap)
+		res.Netlist, err = modular.Build(res.Canonical)
 		return err
 	})
 	if err != nil {
@@ -327,7 +323,6 @@ func compileFrom(ctx context.Context, res *Result, opts Options) (*Result, error
 	err = runStage(res.Breakdown, metrics.StagePlacement, StagePlacement, opts.Hooks, func() error {
 		cl, err := cluster.Build(res.Netlist, cluster.Options{
 			PrimalGroups: opts.PrimalGroups,
-			MaxGroupSize: opts.MaxGroupSize,
 			NoBoxes:      opts.NoBoxes,
 		})
 		if err != nil {
@@ -384,23 +379,21 @@ func compileFrom(ctx context.Context, res *Result, opts Options) (*Result, error
 // fails. Hard errors (cancellation, recovered restart panics) are not
 // retried.
 func (res *Result) placeWithRetry(ctx context.Context, cl *cluster.Clustering, opts Options) error {
-	attempts := opts.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	esc := opts.Retry.Escalation
-	if esc <= 1 {
-		esc = 2
-	}
+	// placeAttempts counts every attempt, the first included; attempt k
+	// runs with base·placeEscalation^k SA moves.
+	const (
+		placeAttempts           = 3
+		placeEscalation float64 = 2
+	)
 	popts := opts.Place
 	budget := popts.EffectiveIterations(len(cl.Supers))
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < placeAttempts; attempt++ {
 		if attempt > 0 {
 			// Derived seed + escalated budget: a fresh SA trajectory
 			// with more moves, reproducible from the original seed.
 			popts.Seed = opts.Place.Seed + 1000003*int64(attempt)
-			budget = int(float64(budget) * esc)
+			budget = int(float64(budget) * placeEscalation)
 			popts.Iterations = budget
 			res.Breakdown.Count(metrics.CounterPlacementRetries, 1)
 		}
@@ -420,7 +413,7 @@ func (res *Result) placeWithRetry(ctx context.Context, cl *cluster.Clustering, o
 		}
 		return nil
 	}
-	return fmt.Errorf("%w after %d attempt(s): %w", faults.ErrPlacementInvalid, attempts, lastErr)
+	return fmt.Errorf("%w after %d attempt(s): %w", faults.ErrPlacementInvalid, placeAttempts, lastErr)
 }
 
 // CompileBenchmark generates one of the paper's RevLib benchmarks and

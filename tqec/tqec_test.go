@@ -131,6 +131,34 @@ func TestAblationsChangeBehavior(t *testing.T) {
 	}
 }
 
+// TestUnbridgedRoutingResource pins that the pipeline supplies the
+// unbridged routing resource itself: Bridging off alone compiles and
+// hashes exactly like Bridging off with Margin 2 and TierPitch 4 spelled
+// out.
+func TestUnbridgedRoutingResource(t *testing.T) {
+	implicit := FastOptions()
+	implicit.Place.Seed = 3
+	implicit.Bridging = false
+	explicit := implicit
+	explicit.Place.Margin = 2
+	explicit.Place.TierPitch = 4
+	a, err := Compile(testCircuit(), implicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Compile(testCircuit(), explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Volume != b.Volume || a.Dims != b.Dims {
+		t.Errorf("Bridging off alone gives %v (volume %d), with Margin 2 and TierPitch 4 %v (volume %d)",
+			a.Dims, a.Volume, b.Dims, b.Volume)
+	}
+	if keyFor(t, testCircuit(), implicit) != keyFor(t, testCircuit(), explicit) {
+		t.Error("Bridging off alone and with the explicit routing resource hash differently")
+	}
+}
+
 func TestBreakdownCoversStages(t *testing.T) {
 	c := qc.New("bd", 2)
 	c.Append(qc.T(0), qc.CNOT(0, 1))
@@ -199,32 +227,6 @@ func TestCompileICMDirect(t *testing.T) {
 	}
 	if res.CanonicalVolume != 54 {
 		t.Fatalf("canonical: %d", res.CanonicalVolume)
-	}
-}
-
-func TestPrimalGapOption(t *testing.T) {
-	spec, err := qc.BenchmarkByName("4gt10-v1_81")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := FastOptions()
-	base.Place.Seed = 4
-	r1, err := Compile(mustGen(t, spec), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gapped := base
-	gapped.PrimalGap = 3
-	r2, err := Compile(mustGen(t, spec), gapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r2.Netlist.Modules) >= len(r1.Netlist.Modules) {
-		t.Fatalf("primal bridging should reduce modules: %d vs %d",
-			len(r2.Netlist.Modules), len(r1.Netlist.Modules))
-	}
-	if err := r2.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 
