@@ -16,7 +16,7 @@ import (
 // engineVersion invalidates every cache entry when the analysis engine
 // itself changes meaning: bump it whenever an analyzer's rules, the fact
 // schema, or the taint model move.
-const engineVersion = "tqeclint-facts-v1"
+const engineVersion = "tqeclint-facts-v2"
 
 // cacheEntry is one package's persisted analysis: its content key, the
 // function summaries other packages consume, and the findings to replay

@@ -9,9 +9,9 @@ import (
 // global math/rand source, map-iteration order, %p pointer formatting,
 // os.Getpid — through assignments, struct fields, channels, closures and
 // function calls (via the module-wide summary facts), and reports when
-// such a value reaches a canonical-encoding sink: tqec.CacheKey /
-// CacheKeyICM, icm.AppendCanonical, baseline.Canonical, journal record
-// payloads, server.EncodeResult, or any field of tqec.Result except the
+// such a value reaches a canonical-encoding sink: tqec.CacheKey,
+// baseline.Canonical, journal record payloads, server.EncodeResult and
+// EncodePartitionedResult, or any field of tqec.Result except the
 // wall-clock diagnostics Breakdown.
 //
 // Unlike detrand (which bans nondeterministic *control flow* in the

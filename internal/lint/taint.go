@@ -39,11 +39,10 @@ type sinkSpec struct {
 // journal and verifier rely on.
 var taintSinks = []sinkSpec{
 	{id: "repro/tqec.CacheKey", params: []int{0, 1}, desc: "tqec.CacheKey content address"},
-	{id: "repro/tqec.CacheKeyICM", params: []int{0, 1}, desc: "tqec.CacheKeyICM content address"},
-	{id: "(repro/internal/icm.Circuit).AppendCanonical", params: []int{-1}, desc: "icm.AppendCanonical canonical encoding"},
 	{id: "repro/internal/baseline.Canonical", params: []int{0}, desc: "baseline.Canonical canonical volume"},
 	{id: "(repro/internal/journal.Journal).Append", params: []int{0}, desc: "journal record payload"},
 	{id: "repro/internal/server.EncodeResult", params: []int{0, 1}, desc: "served compile payload (EncodeResult)"},
+	{id: "repro/internal/server.EncodePartitionedResult", params: []int{0, 1, 2, 3}, desc: "served partitioned payload (EncodePartitionedResult)"},
 }
 
 // resultStruct identifies repro/tqec.Result, whose fields are all sinks:
@@ -774,7 +773,7 @@ func strip(reason string) string {
 }
 
 // shortID renders a FuncID for messages: the last path element is enough
-// for a human ("server.EncodeResult", "(icm.Circuit).AppendCanonical").
+// for a human ("server.EncodeResult", "(journal.Journal).Append").
 func shortID(id FuncID) string {
 	s := string(id)
 	if i := strings.LastIndex(s, "/"); i >= 0 {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dttest/taintsrc"
 	"repro/internal/qc"
+	"repro/internal/server"
 	"repro/tqec"
 )
 
@@ -33,6 +34,11 @@ func cacheKey(c *qc.Circuit) (string, error) {
 	opts := tqec.Options{}
 	opts.Place.Iterations = taintsrc.Stamp() % 4
 	return tqec.CacheKey(c, opts) // want `reaches tqec\.CacheKey content address`
+}
+
+// partitionedPayload names a partitioned payload after the wall clock.
+func partitionedPayload(pres *tqec.PartitionedResult) ([]byte, error) {
+	return server.EncodePartitionedResult("key", taintsrc.Label(), 4, pres) // want `wall-clock time\.Now \(via taintsrc\.Label.* reaches served partitioned payload \(EncodePartitionedResult\)`
 }
 
 // mapOrder lets map-iteration order reach a Result field.

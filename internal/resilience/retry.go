@@ -25,8 +25,7 @@ const (
 	// Terminal failures never improve on retry: invalid placements,
 	// cancellations, malformed inputs.
 	Terminal Class = iota
-	// Retryable failures are expected to clear: injected transients and
-	// degraded results that a re-run with an escalated seed may fix.
+	// Retryable failures are expected to clear: injected transients.
 	Retryable
 	// RetryOnce failures get exactly one more attempt: a recovered panic
 	// may be a cosmic-ray one-off, but two in a row mean a real bug.
@@ -49,7 +48,6 @@ func (c Class) String() string {
 // Classify maps the internal/faults taxonomy onto retry classes:
 //
 //	ErrTransient            → Retryable   (injected/chaos faults clear)
-//	ErrDegraded             → Retryable   (an escalated re-run may route fully)
 //	ErrPanic                → RetryOnce   (one more shot, then it's a bug)
 //	ErrCanceled / context   → Terminal    (the caller gave up)
 //	ErrPlacementInvalid     → Terminal    (deterministic after escalation)
@@ -70,15 +68,12 @@ func Classify(err error) Class {
 		errors.Is(err, faults.ErrUnroutable),
 		errors.Is(err, faults.ErrInvariant):
 		return Terminal
-	case errors.Is(err, faults.ErrDegraded):
-		return Retryable
 	}
 	return Terminal
 }
 
 // Policy configures Do. The zero value retries up to 3 attempts with a
-// 10ms..1s exponential backoff, deterministic jitter from seed 0, and the
-// default Classify.
+// 10ms..1s exponential backoff and deterministic jitter from seed 0.
 type Policy struct {
 	// MaxAttempts bounds the total number of fn invocations (default 3).
 	MaxAttempts int
@@ -86,17 +81,10 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential backoff (default 1s).
 	MaxDelay time.Duration
-	// AttemptTimeout, when positive, bounds each attempt with its own
-	// deadline (clamped to the parent's remaining budget), so one stuck
-	// attempt cannot eat the whole retry budget.
-	AttemptTimeout time.Duration
 	// JitterSeed seeds the deterministic jitter sequence. Equal seeds
 	// yield equal delay schedules, which is what makes retry behaviour
 	// reproducible in tests.
 	JitterSeed uint64
-	// Classify overrides the default failure classification (nil =
-	// Classify).
-	Classify func(error) Class
 	// Sleep overrides the backoff sleep (nil = a context-aware timer).
 	// Tests inject a recorder to assert the schedule without waiting.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -114,9 +102,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = time.Second
-	}
-	if p.Classify == nil {
-		p.Classify = Classify
 	}
 	if p.Sleep == nil {
 		p.Sleep = sleepCtx
@@ -165,10 +150,8 @@ func (p Policy) backoff(attempt int) time.Duration {
 // Do runs fn with retry: attempt 0 immediately, each retry after a
 // deterministic backoff, stopping on success, a Terminal classification, a
 // RetryOnce error past its single retry, exhaustion of MaxAttempts, or a
-// dead context. Each attempt receives its own context bounded by
-// AttemptTimeout (when set) under the parent's deadline. The returned
-// error is the last attempt's, so callers map it exactly as they would an
-// unretried failure.
+// dead context. Every attempt receives ctx. The returned error is the last
+// attempt's, so callers map it exactly as they would an unretried failure.
 func Do(ctx context.Context, p Policy, fn func(ctx context.Context, attempt int) error) error {
 	p = p.withDefaults()
 	var last error
@@ -179,25 +162,12 @@ func Do(ctx context.Context, p Policy, fn func(ctx context.Context, attempt int)
 			}
 			return err
 		}
-		actx := ctx
-		cancel := context.CancelFunc(func() {})
-		if p.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)
-		}
-		err := fn(actx, attempt)
-		cancel()
+		err := fn(ctx, attempt)
 		if err == nil {
 			return nil
 		}
 		last = err
-		// An attempt killed by its own per-attempt deadline — not the
-		// parent's — is a timeout of one try, which is retryable by
-		// construction; everything else goes through the classifier.
-		class := p.Classify(err)
-		if p.AttemptTimeout > 0 && faults.IsCancellation(err) && ctx.Err() == nil {
-			class = Retryable
-		}
-		switch class {
+		switch Classify(err) {
 		case Terminal:
 			return last
 		case RetryOnce:

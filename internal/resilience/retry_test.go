@@ -24,7 +24,7 @@ func TestClassify(t *testing.T) {
 		want Class
 	}{
 		{faults.Transient("chaos", nil), Retryable},
-		{fmt.Errorf("stage: %w", faults.ErrDegraded), Retryable},
+		{fmt.Errorf("stage: %w", faults.ErrDegraded), Terminal},
 		{faults.ErrPanic, RetryOnce},
 		{faults.ErrCanceled, Terminal},
 		{context.DeadlineExceeded, Terminal},
@@ -147,35 +147,6 @@ func TestRetryStopsOnDeadContext(t *testing.T) {
 		})
 	if err == nil || attempts != 1 {
 		t.Fatalf("dead context must stop the loop: attempts=%d err=%v", attempts, err)
-	}
-}
-
-// A per-attempt timeout bounds each try without consuming the parent
-// budget: an attempt that blocks past AttemptTimeout is cut off and
-// retried while the parent deadline still stands.
-func TestPerAttemptDeadlineBudget(t *testing.T) {
-	var delays []time.Duration
-	attempts := 0
-	err := Do(context.Background(), Policy{
-		MaxAttempts:    3,
-		AttemptTimeout: 5 * time.Millisecond,
-		Sleep:          recordSleep(&delays),
-	}, func(actx context.Context, attempt int) error {
-		attempts++
-		if attempt < 1 {
-			<-actx.Done() // simulate a stuck attempt
-			return faults.Canceled(actx)
-		}
-		if _, ok := actx.Deadline(); !ok {
-			t.Fatal("attempt context missing its deadline")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("timed-out attempt should retry and succeed: %v", err)
-	}
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", attempts)
 	}
 }
 

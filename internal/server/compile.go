@@ -9,9 +9,11 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/qc"
 	"repro/internal/resilience"
+	"repro/internal/route"
 	"repro/tqec"
 )
 
@@ -329,25 +331,11 @@ func EncodeResult(key string, res *tqec.Result) ([]byte, error) {
 			Tiers:      res.Placement.Tiers,
 			WireLength: res.Placement.WireLength,
 		},
-		Routing: RoutingBody{
-			Routed:    len(res.Routing.Routes),
-			FirstPass: res.Routing.FirstPassRouted,
-			RippedUp:  res.Routing.RippedUp,
-			WireCells: res.Routing.WireCells(),
-			Fallback:  len(res.Routing.FallbackNets),
-			Failed:    len(res.Routing.Failed),
-		},
+		Routing:  routingBody(res.Routing),
+		Counters: nonZeroCounters(res.Breakdown),
 	}
 	s := res.ICM.Stats()
 	resp.ICM = ICMBody{Lines: s.Lines, CNOTs: s.CNOTs, NumY: s.NumY, NumA: s.NumA, TGroups: s.TGroups}
-	for _, name := range res.Breakdown.Counters() {
-		if n := res.Breakdown.Counter(name); n != 0 {
-			if resp.Counters == nil {
-				resp.Counters = map[string]int{}
-			}
-			resp.Counters[name] = n
-		}
-	}
 	b, err := json.Marshal(resp)
 	if err != nil {
 		return nil, fmt.Errorf("encode result: %w", err)
@@ -437,6 +425,7 @@ func EncodePartitionedResult(key, name string, cap int, res *tqec.PartitionedRes
 			Largest:          largest,
 			PassThrough:      res.PassThrough,
 		},
+		Counters: nonZeroCounters(res.Breakdown),
 	}
 	for i, part := range res.Parts {
 		pb := PartBody{
@@ -449,29 +438,41 @@ func EncodePartitionedResult(key, name string, cap int, res *tqec.PartitionedRes
 		}
 		resp.Parts = append(resp.Parts, pb)
 	}
-	if sr := res.SeamRouting; sr != nil {
-		resp.Seams = RoutingBody{
-			Routed:    len(sr.Routes),
-			FirstPass: sr.FirstPassRouted,
-			RippedUp:  sr.RippedUp,
-			WireCells: sr.WireCells(),
-			Fallback:  len(sr.FallbackNets),
-			Failed:    len(sr.Failed),
-		}
-	}
-	for _, cn := range res.Breakdown.Counters() {
-		if n := res.Breakdown.Counter(cn); n != 0 {
-			if resp.Counters == nil {
-				resp.Counters = map[string]int{}
-			}
-			resp.Counters[cn] = n
-		}
+	if res.SeamRouting != nil {
+		resp.Seams = routingBody(res.SeamRouting)
 	}
 	b, err := json.Marshal(resp)
 	if err != nil {
 		return nil, fmt.Errorf("encode partitioned result: %w", err)
 	}
 	return b, nil
+}
+
+// routingBody summarizes a routing result.
+func routingBody(r *route.Result) RoutingBody {
+	return RoutingBody{
+		Routed:    len(r.Routes),
+		FirstPass: r.FirstPassRouted,
+		RippedUp:  r.RippedUp,
+		WireCells: r.WireCells(),
+		Fallback:  len(r.FallbackNets),
+		Failed:    len(r.Failed),
+	}
+}
+
+// nonZeroCounters returns b's non-zero event counters, or nil when there
+// are none (the payload then omits the field).
+func nonZeroCounters(b *metrics.Breakdown) map[string]int {
+	var out map[string]int
+	for _, name := range b.Counters() {
+		if n := b.Counter(name); n != 0 {
+			if out == nil {
+				out = map[string]int{}
+			}
+			out[name] = n
+		}
+	}
+	return out
 }
 
 // ErrorBody is the structured JSON error payload: the failed pipeline

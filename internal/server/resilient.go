@@ -86,15 +86,12 @@ func (s *Server) observeCompileEWMA(d time.Duration) {
 
 // compileWithRetry is the resilient compile path every cache miss funnels
 // through: retries with deterministic backoff for transient-class failures,
-// placement-seed escalation when the previous attempt came back degraded,
-// and breaker accounting. The whole ladder is a pure function of the
-// request — jitter is seeded from the content address and the escalated
-// seed from the attempt number — so a retried compile yields the same bytes
-// on every process that runs it, which is what keeps cached payloads
-// byte-identical across crash recovery.
+// and breaker accounting. Every attempt runs the request's own options, and
+// the jitter is seeded from the content address, so a retried compile
+// yields the same bytes on every process that runs it, which is what keeps
+// cached payloads byte-identical across crash recovery.
 func (s *Server) compileWithRetry(ctx context.Context, ct *compileTask) ([]byte, error) {
 	var out []byte
-	var lastErr error
 	p := resilience.Policy{
 		MaxAttempts: retryAttempts,
 		BaseDelay:   retryBaseDelay,
@@ -103,18 +100,7 @@ func (s *Server) compileWithRetry(ctx context.Context, ct *compileTask) ([]byte,
 		OnRetry:     func(int, error, time.Duration) { s.retries.Inc() },
 	}
 	err := resilience.Do(ctx, p, func(actx context.Context, attempt int) error {
-		rct := ct
-		if attempt > 0 && lastErr != nil && errors.Is(lastErr, faults.ErrDegraded) {
-			// A degraded result is deterministic for its seed: retrying
-			// verbatim would reproduce it. Escalate the placement seed by
-			// the attempt number — deterministic, so every process derives
-			// the same ladder for the same request.
-			esc := *ct
-			esc.opts.Place.Seed += int64(attempt)
-			rct = &esc
-		}
-		b, aerr := s.execute(actx, rct, attempt)
-		lastErr = aerr
+		b, aerr := s.execute(actx, ct, attempt)
 		if aerr != nil {
 			return aerr
 		}

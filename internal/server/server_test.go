@@ -110,6 +110,37 @@ func TestCompileSyncCacheAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestDaggerTwinsMissTheCache pins that the content address follows the
+// decomposed circuit. The two circuits differ only in a controlled V
+// against a controlled V†: they lower to the same ICM form, but the ZX
+// pass reads the daggers and they compile to different volumes, so the
+// second request must miss and serve its own compile.
+func TestDaggerTwinsMissTheCache(t *testing.T) {
+	s := startServer(t, testConfig())
+	opts := CompileOptions{Seed: 1, Chains: 1}
+	const head = ".version 1.0\n.numvars 3\n.variables a b c\n.begin\nv a b\n"
+	var bodies [][]byte
+	for _, src := range []string{
+		head + "v a b\nt2 b c\n.end\n",
+		head + "v+ a b\nt2 b c\n.end\n",
+	} {
+		w := post(s, "/v1/compile", compileBody(t, src, "twin", opts))
+		if w.Code != 200 {
+			t.Fatalf("compile: %d %s", w.Code, w.Body)
+		}
+		if got := w.Header().Get("X-Tqecd-Cache"); got != "miss" {
+			t.Fatalf("cache header = %q, want miss", got)
+		}
+		if direct := directBytes(t, src, "twin", opts); !bytes.Equal(w.Body.Bytes(), direct) {
+			t.Fatalf("served body differs from direct compile:\n served %s\n direct %s", w.Body, direct)
+		}
+		bodies = append(bodies, w.Body.Bytes())
+	}
+	if bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatal("the twins compiled to the same payload")
+	}
+}
+
 // TestNegativeCacheBytesDisablesCache pins the tqecd -cache-bytes
 // contract: a negative budget disables the result cache, so a repeated
 // compile misses again and nothing is stored.

@@ -7,14 +7,13 @@ import (
 	"fmt"
 
 	"repro/internal/decompose"
-	"repro/internal/icm"
 	"repro/internal/qc"
 )
 
-// cacheKeyVersion tags the option-encoding layout hashed into CacheKey;
-// bump it whenever a semantic Options field is added or the encoding
-// changes so old addresses can never alias new configurations.
-const cacheKeyVersion = 6
+// cacheKeyVersion tags the layout of the bytes CacheKey hashes; bump it
+// whenever a semantic Options field is added or either encoding changes
+// so old addresses can never alias new configurations.
+const cacheKeyVersion = 7
 
 // CanonicalOptions returns a copy of opts normalized for content
 // addressing: non-semantic fields are cleared (Hooks callbacks, the
@@ -42,35 +41,43 @@ func CanonicalOptions(opts Options) Options {
 	return opts
 }
 
-// CacheKey returns the canonical content address of a compilation: the hex
-// SHA-256 of the circuit's deterministic ICM byte encoding concatenated
-// with the normalized options. Two (circuit, options) pairs share an
-// address iff CompileContext would produce the same result for both (up to
-// wall-clock), so the address is safe to use as a result-cache key. The
-// circuit is decomposed and ICM-converted to compute the address; both are
-// deterministic and cheap next to a compilation.
+// CacheKey returns the content address of a compilation: the hex SHA-256
+// of the decomposed circuit's encoding (appendCircuit) followed by the
+// normalized options (appendOptions). Every compile reads the decomposed
+// circuit and nothing else of its input, so two (circuit, options) pairs
+// share an address only if CompileContext would produce the same result
+// for both (up to wall-clock), which makes the address safe to use as a
+// result-cache key. The converse does not hold: circuits whose gate lists
+// differ get different addresses even when they happen to compile alike.
+// The circuit is decomposed to compute the address, so a circuit that
+// cannot be decomposed is rejected here.
 func CacheKey(c *qc.Circuit, opts Options) (string, error) {
 	d, err := decompose.Decompose(c)
 	if err != nil {
 		return "", fmt.Errorf("cache key: %w", err)
 	}
-	ic, err := icm.FromDecomposed(d.Circuit)
-	if err != nil {
-		return "", fmt.Errorf("cache key: %w", err)
-	}
-	return CacheKeyICM(ic, opts)
-}
-
-// CacheKeyICM is CacheKey for circuits already in ICM form (the
-// CompileICMContext entry point).
-func CacheKeyICM(ic *icm.Circuit, opts Options) (string, error) {
-	if ic == nil {
-		return "", fmt.Errorf("cache key: nil ICM circuit")
-	}
-	b := ic.AppendCanonical(nil)
+	b := appendCircuit(nil, d.Circuit)
 	b = appendOptions(b, CanonicalOptions(opts))
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// appendCircuit appends an encoding of a decomposed circuit: its name and
+// qubit names, then each gate's kind, controls and targets in order. Every
+// string and list is length-prefixed, so the encoding is injective.
+func appendCircuit(b []byte, c *qc.Circuit) []byte {
+	b = appendString(b, c.Name)
+	b = appendI64(b, int64(len(c.Qubits)))
+	for _, q := range c.Qubits {
+		b = appendString(b, q)
+	}
+	b = appendI64(b, int64(len(c.Gates)))
+	for _, g := range c.Gates {
+		b = appendI64(b, int64(g.Kind))
+		b = appendInts(b, g.Controls)
+		b = appendInts(b, g.Targets)
+	}
+	return b
 }
 
 // appendOptions appends a fixed-order binary encoding of every semantic
@@ -100,6 +107,21 @@ func appendOptions(b []byte, o Options) []byte {
 // appendI64 appends a little-endian int64.
 func appendI64(b []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(v))
+}
+
+// appendInts appends a length-prefixed list of ints.
+func appendInts(b []byte, vs []int) []byte {
+	b = appendI64(b, int64(len(vs)))
+	for _, v := range vs {
+		b = appendI64(b, int64(v))
+	}
+	return b
+}
+
+// appendString appends a length-prefixed string.
+func appendString(b []byte, s string) []byte {
+	b = appendI64(b, int64(len(s)))
+	return append(b, s...)
 }
 
 // appendBool appends one byte, 0 or 1.

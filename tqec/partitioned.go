@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/decompose"
 	"repro/internal/faults"
@@ -65,12 +64,6 @@ type PartitionedResult struct {
 	// (concurrent parts sum to more than elapsed time) plus the
 	// partition and stitch stages, and the parts' event counters.
 	Breakdown *metrics.Breakdown
-}
-
-// CompilePartitioned runs the partitioned compression flow.
-func CompilePartitioned(c *qc.Circuit, opts Options) (*PartitionedResult, error) {
-	//lint:ignore ctxflow sanctioned no-context entry point; CompilePartitionedContext is the threaded variant
-	return CompilePartitionedContext(context.Background(), c, opts)
 }
 
 // CompilePartitionedContext splits the decomposed circuit along its
@@ -197,9 +190,7 @@ func (pres *PartitionedResult) stitch(ctx context.Context, opts Options) error {
 	}
 
 	if len(pres.Partition.Seams) == 0 {
-		b := base
-		pres.Dims = metrics.Dims{W: b.Dy(), H: b.Dz(), D: b.Dx()}
-		pres.Volume = pres.Dims.Volume()
+		pres.Dims, pres.Volume = boxDims(base)
 		return nil
 	}
 
@@ -216,32 +207,16 @@ func (pres *PartitionedResult) stitch(ctx context.Context, opts Options) error {
 			B:  geom.Pt(b.Min.X-1, r, -1),
 		}
 	}
-	ropts := opts.Route
-	if ropts.Clock == nil {
-		start := time.Now()
-		ropts.Clock = func() time.Duration { return time.Since(start) }
-	}
-	sr, err := route.RouteSeams(ctx, pres.Slabs, pres.SeamNets, base, ropts)
+	sr, err := route.RouteSeams(ctx, pres.Slabs, pres.SeamNets, base, withRouteClock(opts.Route))
 	if err != nil {
 		return err
 	}
 	pres.SeamRouting = sr
-	if n := len(sr.FallbackNets); n > 0 {
-		pres.Breakdown.Count(metrics.CounterFallbackNets, n)
+	pres.Degraded = pres.Degraded || sr.Degraded
+	if err := tallyRouting(pres.Breakdown, sr, opts.StrictRouting, "seam net(s)"); err != nil {
+		return err
 	}
-	if n := len(sr.Failed); n > 0 {
-		pres.Breakdown.Count(metrics.CounterUnroutedNets, n)
-		if opts.StrictRouting {
-			return fmt.Errorf("%w: %d seam net(s) failed negotiation and fallback", faults.ErrUnroutable, n)
-		}
-	}
-	if sr.Degraded {
-		pres.Breakdown.Count(metrics.CounterDegradations, 1)
-		pres.Degraded = true
-	}
-	b := sr.Bounds
-	pres.Dims = metrics.Dims{W: b.Dy(), H: b.Dz(), D: b.Dx()}
-	pres.Volume = pres.Dims.Volume()
+	pres.Dims, pres.Volume = boxDims(sr.Bounds)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package tqec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/partition"
@@ -32,7 +33,7 @@ func partitionedOpts(cap int) Options {
 
 func TestCompilePartitionedStitchesSlabs(t *testing.T) {
 	c := partitionedFixture(t)
-	res, err := CompilePartitioned(c, partitionedOpts(3))
+	res, err := CompilePartitionedContext(context.Background(), c, partitionedOpts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestCompilePartitionedStitchesSlabs(t *testing.T) {
 func TestCompilePartitionedPassThroughMatchesCompile(t *testing.T) {
 	c := partitionedFixture(t)
 	opts := partitionedOpts(0) // non-positive cap: pass-through
-	pres, err := CompilePartitioned(c, opts)
+	pres, err := CompilePartitionedContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +86,11 @@ func TestCompilePartitionedPassThroughMatchesCompile(t *testing.T) {
 func TestCompilePartitionedDeterministic(t *testing.T) {
 	c := partitionedFixture(t)
 	opts := partitionedOpts(3)
-	a, err := CompilePartitioned(c, opts)
+	a, err := CompilePartitionedContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompilePartitioned(c, opts)
+	b, err := CompilePartitionedContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

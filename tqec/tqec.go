@@ -42,6 +42,7 @@ import (
 	"repro/internal/decompose"
 	"repro/internal/distill"
 	"repro/internal/faults"
+	"repro/internal/geom"
 	"repro/internal/icm"
 	"repro/internal/metrics"
 	"repro/internal/modular"
@@ -336,42 +337,57 @@ func compileFrom(ctx context.Context, res *Result, opts Options) (*Result, error
 	}
 
 	err = runStage(res.Breakdown, metrics.StageRouting, StageRouting, opts.Hooks, func() error {
-		ropts := opts.Route
-		if ropts.Clock == nil {
-			// Inject a monotonic clock so the router can attribute time to
-			// its sub-stages without reading the wall clock itself (the
-			// route package is inside the detrand determinism scope).
-			start := time.Now()
-			ropts.Clock = func() time.Duration { return time.Since(start) }
-		}
 		var err error
-		res.Routing, err = route.RunContext(ctx, res.Placement, ropts)
+		res.Routing, err = route.RunContext(ctx, res.Placement, withRouteClock(opts.Route))
 		if err != nil {
 			return err
 		}
 		res.Degraded = res.Routing.Degraded
-		if n := len(res.Routing.FallbackNets); n > 0 {
-			res.Breakdown.Count(metrics.CounterFallbackNets, n)
-		}
-		if n := len(res.Routing.Failed); n > 0 {
-			res.Breakdown.Count(metrics.CounterUnroutedNets, n)
-			if opts.StrictRouting {
-				return fmt.Errorf("%w: %d net(s) failed negotiation and fallback", faults.ErrUnroutable, n)
-			}
-		}
-		if res.Degraded {
-			res.Breakdown.Count(metrics.CounterDegradations, 1)
-		}
-		return nil
+		return tallyRouting(res.Breakdown, res.Routing, opts.StrictRouting, "net(s)")
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	b := res.Routing.Bounds
-	res.Dims = metrics.Dims{W: b.Dy(), H: b.Dz(), D: b.Dx()}
-	res.Volume = res.Dims.Volume()
+	res.Dims, res.Volume = boxDims(res.Routing.Bounds)
 	return res, nil
+}
+
+// withRouteClock returns ropts with a monotonic Clock injected when it has
+// none, so the router can attribute time to its sub-stages without reading
+// the wall clock itself (the route package is inside the detrand
+// determinism scope).
+func withRouteClock(ropts route.Options) route.Options {
+	if ropts.Clock == nil {
+		start := time.Now()
+		ropts.Clock = func() time.Duration { return time.Since(start) }
+	}
+	return ropts
+}
+
+// tallyRouting counts r's fallback, unrouted and degraded nets in b and,
+// under StrictRouting, fails a routing that left nets unrouted; nets names
+// those nets in the error.
+func tallyRouting(b *metrics.Breakdown, r *route.Result, strict bool, nets string) error {
+	if n := len(r.FallbackNets); n > 0 {
+		b.Count(metrics.CounterFallbackNets, n)
+	}
+	if n := len(r.Failed); n > 0 {
+		b.Count(metrics.CounterUnroutedNets, n)
+		if strict {
+			return fmt.Errorf("%w: %d %s failed negotiation and fallback", faults.ErrUnroutable, n, nets)
+		}
+	}
+	if r.Degraded {
+		b.Count(metrics.CounterDegradations, 1)
+	}
+	return nil
+}
+
+// boxDims measures routing bounds: W along y, H along z, D along x, and
+// the volume W×H×D.
+func boxDims(b geom.Box) (metrics.Dims, int) {
+	d := metrics.Dims{W: b.Dy(), H: b.Dz(), D: b.Dx()}
+	return d, d.Volume()
 }
 
 // placeWithRetry runs SA placement, re-validating the result and retrying
