@@ -32,14 +32,10 @@ vet:
 
 # Run the in-tree static analyzers (internal/lint) over the whole module.
 # Exits non-zero on any finding; see DESIGN.md for the enforced invariants.
-# Per-package function summaries and findings persist under LINT_FACTS
-# keyed by content hash, so a no-change rerun replays from the cache
-# instead of re-typechecking the module (LINT_FLAGS adds e.g. -stats or
-# -summary "$GITHUB_STEP_SUMMARY" in CI).
-LINT_FACTS ?= .cache/lint
+# LINT_FLAGS adds e.g. -stats or -summary "$GITHUB_STEP_SUMMARY" in CI.
 LINT_FLAGS ?=
 lint:
-	$(GO) run ./cmd/tqeclint -facts-dir '$(LINT_FACTS)' $(LINT_FLAGS) ./...
+	$(GO) run ./cmd/tqeclint $(LINT_FLAGS) ./...
 
 test:
 	$(GO) test ./...

@@ -9,21 +9,16 @@
 //
 // Usage:
 //
-//	tqeclint [-json] [-github] [-list] [-C dir] [-facts-dir dir] [-graph]
-//	         [-stats] [-summary file] [packages ...]
+//	tqeclint [-json] [-github] [-list] [-C dir] [-graph] [-stats]
+//	         [-summary file] [packages ...]
 //
 // With no patterns it analyzes ./... . -json emits the findings as a JSON
 // array for tooling; -github emits GitHub Actions workflow commands
 // (::error file=...,line=...,col=...::message) so findings surface as
 // inline annotations on pull requests; -list prints the analyzer registry.
-//
-// -facts-dir enables the incremental driver: per-package function
-// summaries and findings persist there keyed by content hash, so a run
-// over unchanged packages replays instead of re-analyzing (a fully warm
-// run does not even parse). -graph dumps the CHA call graph and exits.
-// -stats prints per-analyzer timing to stderr; -summary appends a
-// Markdown run report to the given file (pass "$GITHUB_STEP_SUMMARY" in
-// CI).
+// -graph dumps the CHA call graph and exits. -stats prints per-analyzer
+// timing to stderr; -summary appends a Markdown run report to the given
+// file (pass "$GITHUB_STEP_SUMMARY" in CI).
 package main
 
 import (
@@ -42,13 +37,12 @@ func main() {
 	github := flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
 	dir := flag.String("C", ".", "directory to resolve package patterns from")
-	factsDir := flag.String("facts-dir", "", "persist per-package facts and findings here for incremental runs")
 	graph := flag.Bool("graph", false, "dump the CHA call graph instead of running analyzers")
-	stats := flag.Bool("stats", false, "print per-analyzer timing and cache stats to stderr")
+	stats := flag.Bool("stats", false, "print per-analyzer timing to stderr")
 	summary := flag.String("summary", "", "append a Markdown run summary to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: tqeclint [-json] [-github] [-list] [-C dir] [-facts-dir dir] [-graph] [-stats] [-summary file] [packages ...]\n")
+			"usage: tqeclint [-json] [-github] [-list] [-C dir] [-graph] [-stats] [-summary file] [packages ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -60,35 +54,16 @@ func main() {
 		return
 	}
 
-	patterns := flag.Args()
-
+	pkgs, err := lint.LoadPackages(*dir, flag.Args()...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tqeclint:", err)
+		os.Exit(2)
+	}
 	if *graph {
-		pkgs, err := lint.LoadPackages(*dir, patterns...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tqeclint:", err)
-			os.Exit(2)
-		}
 		lint.BuildCallGraph(pkgs).Dump(os.Stdout)
 		return
 	}
-
-	var findings []lint.Finding
-	var runStats *lint.RunStats
-	if *factsDir != "" {
-		var err error
-		findings, runStats, err = lint.RunIncremental(*dir, *factsDir, patterns, lint.Analyzers())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tqeclint:", err)
-			os.Exit(2)
-		}
-	} else {
-		pkgs, err := lint.LoadPackages(*dir, patterns...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tqeclint:", err)
-			os.Exit(2)
-		}
-		findings, runStats = lint.RunAnalyzersStats(pkgs, lint.Analyzers())
-	}
+	findings, runStats := lint.RunAnalyzersStats(pkgs, lint.Analyzers())
 
 	switch {
 	case *jsonOut:
@@ -123,8 +98,8 @@ func main() {
 // statsText renders the run stats as aligned plain text.
 func statsText(s *lint.RunStats) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "packages: %d (%d cached)  facts: %s  total: %s\n",
-		s.Packages, s.CachedPackages, s.FactsDuration.Round(1e6), s.TotalDuration.Round(1e6))
+	fmt.Fprintf(&b, "packages: %d  facts: %s  total: %s\n",
+		s.Packages, s.FactsDuration.Round(1e6), s.TotalDuration.Round(1e6))
 	for _, a := range s.Analyzers {
 		fmt.Fprintf(&b, "  %-12s %4d findings  %8s\n", a.Name, a.Findings, a.Duration.Round(1e6))
 	}
@@ -141,8 +116,8 @@ func appendSummary(path string, s *lint.RunStats, findings int) error {
 	defer f.Close()
 	var b strings.Builder
 	fmt.Fprintf(&b, "### tqeclint\n\n")
-	fmt.Fprintf(&b, "%d finding(s) across %d package(s), %d served from the facts cache. Facts %s, total %s.\n\n",
-		findings, s.Packages, s.CachedPackages, s.FactsDuration.Round(1e6), s.TotalDuration.Round(1e6))
+	fmt.Fprintf(&b, "%d finding(s) across %d package(s). Facts %s, total %s.\n\n",
+		findings, s.Packages, s.FactsDuration.Round(1e6), s.TotalDuration.Round(1e6))
 	fmt.Fprintf(&b, "| analyzer | findings | time |\n|---|---:|---:|\n")
 	for _, a := range s.Analyzers {
 		fmt.Fprintf(&b, "| %s | %d | %s |\n", a.Name, a.Findings, a.Duration.Round(1e6))

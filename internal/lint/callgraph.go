@@ -9,12 +9,11 @@ import (
 	"strings"
 )
 
-// FuncID is the stable, serializable identity of a function across the
-// module: "pkgpath.Name" for package functions, "(pkgpath.Recv).Name" for
-// methods (pointer receivers included under the same ID as their value
-// form, since facts describe behaviour, not call shape). It is the key of
-// the fact store and of call-graph nodes, so cached facts from a previous
-// run can be joined against a fresh load.
+// FuncID is the stable identity of a function across the module:
+// "pkgpath.Name" for package functions, "(pkgpath.Recv).Name" for methods
+// (pointer receivers included under the same ID as their value form,
+// since facts describe behaviour, not call shape). It is the key of the
+// fact store and of call-graph nodes.
 type FuncID string
 
 // funcID canonicalizes fn. It returns "" for nil, builtins and functions

@@ -9,47 +9,45 @@ import (
 )
 
 // FuncFacts is the interprocedural summary of one function: everything a
-// caller's analysis needs to know without that function's body. Facts are
-// JSON-serializable so the on-disk fact cache can replay them for
-// packages that did not change.
+// caller's analysis needs to know without that function's body.
 type FuncFacts struct {
 	// TaintedResults maps result index -> reason for results that may
 	// carry nondeterministic values regardless of the arguments.
-	TaintedResults map[int]string `json:"tainted_results,omitempty"`
+	TaintedResults map[int]string
 	// ParamFlows maps parameter index (-1 = receiver) -> result indices
 	// that become tainted when that parameter is tainted.
-	ParamFlows map[int][]int `json:"param_flows,omitempty"`
+	ParamFlows map[int][]int
 	// SinkParams maps parameter index -> sink description for parameters
 	// that (transitively) reach a determinism sink inside the function.
-	SinkParams map[int]string `json:"sink_params,omitempty"`
+	SinkParams map[int]string
 
 	// CtxBounded reports that the function's body observes cancellation:
 	// it receives from a context.Done() channel or from a channel-typed
 	// parameter, so a goroutine running it terminates with its context.
-	CtxBounded bool `json:"ctx_bounded,omitempty"`
+	CtxBounded bool
 	// WgDones lists the canonical IDs of sync.WaitGroup variables the
 	// function calls Done on, so a spawner's Add/Wait pairing can be
 	// verified across a call boundary.
-	WgDones []string `json:"wg_dones,omitempty"`
+	WgDones []string
 
 	// MayPanic reports an explicit panic reachable in the function or its
 	// callees (recover-wrapped panics included; the fact is conservative).
-	MayPanic bool `json:"may_panic,omitempty"`
+	MayPanic bool
 	// Locks lists the canonical IDs of mutexes the function (or its
 	// callees) may acquire.
-	Locks []string `json:"locks,omitempty"`
+	Locks []string
 	// LockPairs records ordered acquisitions: First was held when Second
 	// was acquired (directly or through a callee). Inverted pairs across
 	// the module are lock-order violations.
-	LockPairs []LockPair `json:"lock_pairs,omitempty"`
+	LockPairs []LockPair
 }
 
 // LockPair is one ordered mutex acquisition with its source position.
 type LockPair struct {
-	First  string `json:"first"`
-	Second string `json:"second"`
-	File   string `json:"file"`
-	Line   int    `json:"line"`
+	First  string
+	Second string
+	File   string
+	Line   int
 }
 
 // FactStore holds the module's function summaries, keyed by FuncID.
@@ -73,34 +71,6 @@ func (s *FactStore) Get(id FuncID) *FuncFacts {
 
 // Set records facts for id.
 func (s *FactStore) Set(id FuncID, f *FuncFacts) { s.funcs[id] = f }
-
-// PackageFacts extracts the summaries of one package's functions for the
-// on-disk cache, keyed by FuncID.
-func (s *FactStore) PackageFacts(pkg *Package) map[FuncID]*FuncFacts {
-	out := map[FuncID]*FuncFacts{}
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-			if id := funcID(fn); id != "" {
-				if facts := s.funcs[id]; facts != nil {
-					out[id] = facts
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Merge loads externally-computed facts (a cache replay) into the store.
-func (s *FactStore) Merge(facts map[FuncID]*FuncFacts) {
-	for id, f := range facts {
-		s.funcs[id] = f
-	}
-}
 
 // AllLockPairs flattens every function's ordered-acquisition pairs into
 // one deterministic slice — the input to the module-wide lock-order
@@ -129,9 +99,7 @@ func (s *FactStore) AllLockPairs() []LockPair {
 
 // ComputeFacts builds summaries for every function in pkgs, bottom-up in
 // import order with a per-package fixpoint so intra-package recursion and
-// mutual calls converge. Facts already present in the store (merged from
-// the cache) are recomputed only for the packages given here, so a caller
-// doing incremental analysis passes just the stale packages.
+// mutual calls converge.
 func ComputeFacts(store *FactStore, graph *CallGraph, pkgs []*Package) {
 	for _, pkg := range topoOrder(pkgs) {
 		for round := 0; round < 8; round++ {

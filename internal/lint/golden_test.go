@@ -92,10 +92,6 @@ func TestGoldenErrDiscard(t *testing.T) {
 	runGolden(t, "errdiscard", "repro/internal/edtest")
 }
 
-func TestGoldenDetRand(t *testing.T) {
-	runGolden(t, "detrand", "repro/internal/qc/drtest")
-}
-
 func TestGoldenCtxSleep(t *testing.T) {
 	runGolden(t, "ctxsleep", "repro/internal/cstest")
 }
@@ -116,10 +112,10 @@ func TestGoldenLockCheck(t *testing.T) {
 	runGolden(t, "lockcheck", "repro/internal/lctest")
 }
 
-// TestGoldenDetTaint is the cross-package taint fixture: sources live in
-// testdata/src/dettaint/taintsrc, sinks in testdata/src/dettaint, and the
-// findings prove flows that crossed the package boundary through the
-// function-summary layer.
+// TestGoldenDetTaint is the dettaint fixture, two packages in one load.
+// Sources live in testdata/src/dettaint/taintsrc and sinks in
+// testdata/src/dettaint, so those findings prove flows that crossed the
+// package boundary through the function-summary layer.
 func TestGoldenDetTaint(t *testing.T) {
 	srcDir := filepath.Join("testdata", "src", "dettaint", "taintsrc")
 	sinkDir := filepath.Join("testdata", "src", "dettaint")
@@ -133,6 +129,19 @@ func TestGoldenDetTaint(t *testing.T) {
 	wants := append(parseWants(t, sinkDir), optionalWants(t, srcDir)...)
 	findings := RunAnalyzers(pkgs, []*Analyzer{ByName("dettaint")})
 	matchWants(t, findings, wants)
+}
+
+// TestGoldenDetRand pins dettaint's seeded-stage checks: wall-clock reads,
+// global math/rand draws and unsorted map-order accumulators. The fixture
+// is typechecked under a path inside internal/qc, one of the seeded stages.
+func TestGoldenDetRand(t *testing.T) {
+	dir := filepath.Join("testdata", "src", "dettaint", "seeded")
+	pkg, err := LoadDir(dir, "repro/internal/qc/drtest")
+	if err != nil {
+		t.Fatalf("load fixture %s: %v", dir, err)
+	}
+	findings := RunAnalyzers([]*Package{pkg}, []*Analyzer{ByName("dettaint")})
+	matchWants(t, findings, parseWants(t, dir))
 }
 
 // optionalWants parses want comments from a directory that may have none

@@ -121,8 +121,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // reportAt records a finding at an explicit file:line — for checks whose
-// anchor position came from the fact layer (serialized positions) rather
-// than a live token.Pos.
+// anchor position came from the fact layer (a LockPair site) rather than
+// a live token.Pos.
 func (p *Pass) reportAt(file string, line int, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Analyzer: p.Analyzer.Name,
@@ -150,12 +150,12 @@ func (p *Pass) SourceFiles() []*ast.File {
 
 // Analyzers returns the full registry in reporting order. Every analyzer
 // here runs in `make lint`, in the tqeclint CLI default set, and in the
-// self-check test that keeps CI and the CLI in lockstep. The first seven
-// are per-package syntactic/typed checks; dettaint, goleak and lockcheck
-// are interprocedural, consuming the call graph and fact store the driver
-// builds before any analyzer runs.
+// self-check test that keeps CI and the CLI in lockstep. dettaint, goleak
+// and lockcheck are interprocedural, consuming the call graph and fact
+// store RunAnalyzers builds before any analyzer runs; the other six are
+// per-package syntactic/typed checks.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NoPanic, CtxFlow, ErrDiscard, DetRand, DetTaint, GoLeak, LockCheck, CtxSleep, GeomBounds, DocComment}
+	return []*Analyzer{NoPanic, CtxFlow, ErrDiscard, DetTaint, GoLeak, LockCheck, CtxSleep, GeomBounds, DocComment}
 }
 
 // ByName returns the registered analyzer with the given name, or nil.
@@ -175,14 +175,13 @@ type AnalyzerStat struct {
 	Duration time.Duration `json:"duration_ns"`
 }
 
-// RunStats is the run's timing and cache breakdown, published by the CLI
-// to the CI job summary.
+// RunStats is the run's timing breakdown, published by the CLI to the CI
+// job summary.
 type RunStats struct {
-	Packages       int            `json:"packages"`
-	CachedPackages int            `json:"cached_packages"`
-	Analyzers      []AnalyzerStat `json:"analyzers"`
-	FactsDuration  time.Duration  `json:"facts_duration_ns"`
-	TotalDuration  time.Duration  `json:"total_duration_ns"`
+	Packages      int            `json:"packages"`
+	Analyzers     []AnalyzerStat `json:"analyzers"`
+	FactsDuration time.Duration  `json:"facts_duration_ns"`
+	TotalDuration time.Duration  `json:"total_duration_ns"`
 }
 
 // RunAnalyzers builds the module-wide call graph and fact store, applies
@@ -203,28 +202,14 @@ func RunAnalyzersStats(pkgs []*Package, analyzers []*Analyzer) ([]Finding, *RunS
 	store := NewFactStore()
 	ComputeFacts(store, graph, pkgs)
 	stats.FactsDuration = time.Since(start)
-	all := analyzePackages(pkgs, analyzers, store, graph, stats)
-	sortFindings(all)
-	stats.TotalDuration = time.Since(start)
-	return all, stats
-}
 
-// analyzePackages runs the analyzers over pkgs against an already-built
-// fact store and call graph — the entry point the incremental driver uses
-// to re-analyze only stale packages while warm facts stand in for the
-// rest. Returned findings are unsorted.
-func analyzePackages(pkgs []*Package, analyzers []*Analyzer, store *FactStore, graph *CallGraph, stats *RunStats) []Finding {
+	stats.Analyzers = make([]AnalyzerStat, len(analyzers))
 	runSet := map[string]bool{}
-	for _, a := range analyzers {
+	byName := map[string]*AnalyzerStat{}
+	for i, a := range analyzers {
 		runSet[a.Name] = true
-	}
-	timing := map[string]*AnalyzerStat{}
-	if stats != nil {
-		for _, a := range analyzers {
-			st := &AnalyzerStat{Name: a.Name}
-			timing[a.Name] = st
-			stats.Analyzers = append(stats.Analyzers, AnalyzerStat{Name: a.Name})
-		}
+		stats.Analyzers[i].Name = a.Name
+		byName[a.Name] = &stats.Analyzers[i]
 	}
 	var all []Finding
 	for _, pkg := range pkgs {
@@ -233,30 +218,20 @@ func analyzePackages(pkgs []*Package, analyzers []*Analyzer, store *FactStore, g
 		var raw []Finding
 		for _, a := range analyzers {
 			began := time.Now()
-			pass := &Pass{Analyzer: a, Pkg: pkg, Facts: store, Graph: graph, findings: &raw}
-			a.Run(pass)
-			if st := timing[a.Name]; st != nil {
-				st.Duration += time.Since(began)
-			}
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, Facts: store, Graph: graph, findings: &raw})
+			byName[a.Name].Duration += time.Since(began)
 		}
 		for _, f := range raw {
 			if !sup.covers(f) {
 				all = append(all, f)
-				if st := timing[f.Analyzer]; st != nil {
-					st.Findings++
-				}
+				byName[f.Analyzer].Findings++
 			}
 		}
 		all = append(all, sup.audit(runSet)...)
 	}
-	if stats != nil {
-		for i := range stats.Analyzers {
-			if st := timing[stats.Analyzers[i].Name]; st != nil {
-				stats.Analyzers[i] = *st
-			}
-		}
-	}
-	return all
+	sortFindings(all)
+	stats.TotalDuration = time.Since(start)
+	return all, stats
 }
 
 // sortFindings orders findings by file, line, column, analyzer.

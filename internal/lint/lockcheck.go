@@ -514,9 +514,9 @@ func (w *lockWalker) exitCheck(st lockState) {
 }
 
 // checkLockOrder reports inverted acquisition orders. The pair sets come
-// from the fact layer, so they span the whole loaded module (plus cached
-// facts); each package reports only the pair sites inside itself, keeping
-// findings stable under incremental runs.
+// from the fact layer, so they span the whole loaded module; each package
+// reports only the pair sites inside itself, so every inversion is
+// reported once.
 func checkLockOrder(pass *Pass) {
 	pairs := pass.Facts.AllLockPairs()
 	type key struct{ a, b string }

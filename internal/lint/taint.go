@@ -16,12 +16,50 @@ import (
 // struct fields, channels, closures and calls (via function summaries),
 // and reported when a tainted value reaches a canonical-encoding sink.
 
-// taintSources are the package-level functions whose results are tainted.
-var taintSources = map[string]string{
+// taintSources are the functions whose results are tainted. A
+// metrics.Histogram holds wall-clock latencies (Observe leaves its holder
+// clean, see holderClean), so what Snapshot reads back out is one.
+var taintSources = map[FuncID]string{
 	"time.Now":   "wall-clock time.Now",
 	"time.Since": "wall-clock time.Since",
 	"time.Until": "wall-clock time.Until",
 	"os.Getpid":  "process id os.Getpid",
+	"(repro/internal/metrics.Histogram).Snapshot": "wall-clock histogram snapshot",
+}
+
+// detRandDraws are the math/rand package-level functions that consume the
+// global (process-wide, unseeded-by-us) source. Constructors (New,
+// NewSource, NewZipf) stay legal: all randomness must flow from an
+// explicitly seeded *rand.Rand.
+var detRandDraws = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
+	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
+}
+
+// sourceOf reports whether calling fn reads a nondeterminism source, and
+// why.
+func sourceOf(fn *types.Func) (string, bool) {
+	if r, ok := taintSources[funcID(fn)]; ok {
+		return r, true
+	}
+	if pkgFunc(fn) != "" && fn.Pkg().Path() == "math/rand" && detRandDraws[fn.Name()] {
+		return "global math/rand source", true
+	}
+	return "", false
+}
+
+// holderClean are the methods that keep a tainted argument inside their
+// receiver where no sink reads it, so the call leaves the receiver's root
+// object clean: a histogram's observations come back out only through
+// Snapshot, a source in its own right, and a Breakdown's stage timings
+// are never encoded. Breakdown.Count is not here: EncodeResult serves the
+// counters.
+var holderClean = map[FuncID]bool{
+	"(repro/internal/metrics.Histogram).Observe": true,
+	"(repro/internal/metrics.Breakdown).Time":    true,
+	"(repro/internal/metrics.Breakdown).Add":     true,
 }
 
 // sinkSpec names one determinism sink: a function whose listed parameters
@@ -52,9 +90,10 @@ const (
 	resultName = "Result"
 	// resultExemptField is the one Result field allowed to carry
 	// nondeterministic values: the per-stage wall-clock Breakdown, which
-	// is diagnostics by design and excluded from EncodeResult and the
-	// cache bytes. The exemption also stops taint from spreading to the
-	// whole Result object through Breakdown writes.
+	// is diagnostics by design. EncodeResult serves only its event
+	// counters, never its stage timings, so the exemption covers the
+	// timing writes (see holderClean) and reads, and it stops taint from
+	// spreading to the whole Result object when the field is assigned.
 	resultExemptField = "Breakdown"
 )
 
@@ -72,12 +111,20 @@ func sinkByID(id FuncID) *sinkSpec {
 // (closures included — they share the object space). assume seeds
 // parameters as tainted for summary computation.
 type taintScan struct {
-	pkg     *Package
-	store   *FactStore
-	graph   *CallGraph
-	fd      *ast.FuncDecl
-	assume  map[types.Object]string
-	tainted map[types.Object]string
+	pkg      *Package
+	store    *FactStore
+	graph    *CallGraph
+	fd       *ast.FuncDecl
+	assume   map[types.Object]string
+	tainted  map[types.Object]string
+	mapOrder []mapOrderSite
+}
+
+// mapOrderSite is one slice filled in map-iteration order and never
+// sorted afterwards, with the range statement that fills it.
+type mapOrderSite struct {
+	rng *ast.RangeStmt
+	obj types.Object
 }
 
 func newTaintScan(pkg *Package, store *FactStore, graph *CallGraph, fd *ast.FuncDecl) *taintScan {
@@ -107,6 +154,8 @@ func (s *taintScan) propagate() {
 // seedMapOrder taints slices that accumulate elements in map-iteration
 // order without a subsequent sort in the same function: their element
 // order is scheduling-dependent even though each element is deterministic.
+// Each such slice is also recorded in s.mapOrder with the range statement
+// that fills it.
 func (s *taintScan) seedMapOrder() {
 	ast.Inspect(s.fd.Body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
@@ -122,6 +171,7 @@ func (s *taintScan) seedMapOrder() {
 		}
 		for _, obj := range rangeAppendTargets(s.pkg, rs) {
 			if !sortedAfterStmt(s.pkg, s.fd, rs, obj) {
+				s.mapOrder = append(s.mapOrder, mapOrderSite{rs, obj})
 				if _, ok := s.tainted[obj]; !ok {
 					s.tainted[obj] = "map-iteration order"
 				}
@@ -224,16 +274,19 @@ func (s *taintScan) taintLHS(lhs ast.Expr, reason string) {
 	}
 }
 
-// taintReceiverOfMutator taints a method call's receiver when a tainted
-// argument is passed in: the method may store the value (buf.Write,
-// list.PushBack). Exempt field chains (diagnostics sinks like
-// Result.Breakdown) block the spread.
+// taintReceiverOfMutator taints a method call's root receiver object
+// when a tainted argument is passed in: the method may store the value
+// (buf.Write, list.PushBack, Breakdown.Count). Methods on the holderClean
+// list keep the value to themselves and block the spread.
 func (s *taintScan) taintReceiverOfMutator(call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
 	if _, isMethod := s.pkg.Info.Selections[sel]; !isMethod {
+		return
+	}
+	if holderClean[funcID(calleeFunc(s.pkg.Info, call))] {
 		return
 	}
 	var reason string
@@ -247,10 +300,11 @@ func (s *taintScan) taintReceiverOfMutator(call *ast.CallExpr) {
 	if !tainted {
 		return
 	}
-	if s.exemptChain(sel.X) {
-		return
+	if obj := s.rootObj(sel.X); obj != nil {
+		if _, ok := s.tainted[obj]; !ok {
+			s.tainted[obj] = reason
+		}
 	}
-	s.taintLHS(sel.X, reason)
 }
 
 // exemptField reports whether sel selects a field on the exemption list
@@ -258,26 +312,6 @@ func (s *taintScan) taintReceiverOfMutator(call *ast.CallExpr) {
 func (s *taintScan) exemptField(sel *ast.SelectorExpr) bool {
 	path, name, ok := namedType(s.pkg.Info.TypeOf(sel.X))
 	return ok && path == resultPkg && name == resultName && sel.Sel.Name == resultExemptField
-}
-
-// exemptChain reports whether any selector hop in e traverses an exempt
-// field, so writes through res.Breakdown.X never taint res.
-func (s *taintScan) exemptChain(e ast.Expr) bool {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			if s.exemptField(x) {
-				return true
-			}
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		default:
-			return false
-		}
-	}
 }
 
 // rootObj resolves an expression to the object at the base of its
@@ -420,15 +454,9 @@ func (s *taintScan) callResultTaint(call *ast.CallExpr) map[int]string {
 	}
 	// Direct sources.
 	fn := calleeFunc(s.pkg.Info, call)
-	if name := pkgFunc(fn); name != "" {
-		if r, ok := taintSources[name]; ok {
-			out[0] = r
-			return out
-		}
-		if fn.Pkg().Path() == "math/rand" && detRandDraws[fn.Name()] {
-			out[0] = "global math/rand source"
-			return out
-		}
+	if r, ok := sourceOf(fn); ok {
+		out[0] = r
+		return out
 	}
 	if r, ok := s.pointerFormat(call, fn); ok {
 		out[0] = r
@@ -475,7 +503,7 @@ func (s *taintScan) callResultTaint(call *ast.CallExpr) map[int]string {
 		}
 		if !tainted {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if _, isMethod := s.pkg.Info.Selections[sel]; isMethod && !s.exemptChain(sel.X) {
+				if _, isMethod := s.pkg.Info.Selections[sel]; isMethod {
 					if r, ok := s.taintOf(sel.X); ok {
 						reason, tainted = r, true
 					}

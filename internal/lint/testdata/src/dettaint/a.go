@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/dttest/taintsrc"
+	"repro/internal/metrics"
 	"repro/internal/qc"
 	"repro/internal/server"
 	"repro/tqec"
@@ -65,11 +66,38 @@ func mapOrderSorted(m map[string]int) tqec.Result {
 	return r
 }
 
-// breakdownOK writes wall-clock durations into Result.Breakdown — the one
-// exempt field, diagnostics by design — so no finding.
-func breakdownOK(r *tqec.Result, start time.Time) tqec.Result {
+// breakdownOK writes wall-clock durations into Result.Breakdown's stage
+// timings, which no payload serves, so no finding.
+func breakdownOK(r *tqec.Result, start time.Time) ([]byte, error) {
 	r.Breakdown.Add("stage", time.Since(start))
-	return tqec.Result{Volume: 7}
+	return server.EncodeResult("k", r)
+}
+
+// breakdownCount feeds the wall clock into a Breakdown event counter.
+// EncodeResult serves the counters, so the whole Result is tainted.
+func breakdownCount(res *tqec.Result) ([]byte, error) {
+	res.Breakdown.Count("started", int(time.Now().Unix()))
+	return server.EncodeResult("k", res) // want `wall-clock time\.Now.* reaches served compile payload \(EncodeResult\)`
+}
+
+// timedStage holds a deterministic volume next to a latency histogram.
+type timedStage struct {
+	volume  int
+	latency *metrics.Histogram
+}
+
+// histogramObserve keeps a wall-clock latency inside the histogram, so
+// the holder stays clean and its volume may reach a Result field.
+func histogramObserve(st *timedStage, start time.Time) tqec.Result {
+	st.latency.Observe(time.Since(start))
+	return tqec.Result{Volume: st.volume}
+}
+
+// histogramSnapshot reads the latencies back out: a snapshot is a
+// wall-clock source.
+func histogramSnapshot(st *timedStage) tqec.Result {
+	snap := st.latency.Snapshot()
+	return tqec.Result{Volume: int(snap.SumNS)} // want `wall-clock histogram snapshot.* reaches tqec\.Result\.Volume`
 }
 
 // cleanFlow consumes a deterministic cross-package helper; no finding.
