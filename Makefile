@@ -92,9 +92,9 @@ check:
 
 # Bounded chaos soak under the race detector: the service-layer fault
 # drill (internal/harness TestChaosSoak) hammers a journal-backed server
-# with crashes, torn-tail journal corruption, 5xx bursts, slow responses
-# and a fault mix of injected transients for CHAOS_SECONDS, then proves
-# every accepted job terminal exactly once with byte-identical payloads.
+# with crashes, torn-tail journal corruption, 5xx bursts and slow
+# responses for CHAOS_SECONDS, then proves every accepted job terminal
+# exactly once with byte-identical payloads.
 CHAOS_SECONDS ?= 30
 chaos:
 	TQEC_CHAOS_SECONDS=$(CHAOS_SECONDS) $(GO) test -race -count=1 -run TestChaosSoak -timeout 10m ./internal/harness

@@ -5,7 +5,7 @@
 //	tqecd [-addr :8321] [-workers N] [-queue N] [-cache-bytes N]
 //	      [-timeout 2m] [-max-timeout 10m] [-drain-timeout 30s]
 //	      [-journal-dir DIR] [-journal-segment-bytes N]
-//	      [-allow-fault-injection]
+//	      [-partition-qubits N]
 //
 // Endpoints:
 //
@@ -50,18 +50,16 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	journalDir := flag.String("journal-dir", "", "directory for the durable job journal (empty = in-memory jobs only)")
 	journalSegBytes := flag.Int64("journal-segment-bytes", 0, "journal segment rotation threshold (0 = default 8MiB)")
-	allowFaults := flag.Bool("allow-fault-injection", false, "admit the fault_attempts chaos hook in request options")
 	partitionQubits := flag.Int("partition-qubits", 0, "default per-part qubit cap for partitioned compiles (0 = unpartitioned; requests may override)")
 	flag.Parse()
 
 	cfg := server.Config{
-		Workers:             *workers,
-		QueueDepth:          *queue,
-		CacheBytes:          *cacheBytes,
-		PartitionQubits:     *partitionQubits,
-		DefaultTimeout:      *timeout,
-		MaxTimeout:          *maxTimeout,
-		AllowFaultInjection: *allowFaults,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		CacheBytes:      *cacheBytes,
+		PartitionQubits: *partitionQubits,
+		DefaultTimeout:  *timeout,
+		MaxTimeout:      *maxTimeout,
 	}
 	if err := run(*addr, cfg, *drainTimeout, *journalDir, *journalSegBytes); err != nil {
 		fmt.Fprintln(os.Stderr, "tqecd:", err)

@@ -82,6 +82,12 @@ type Result struct {
 // never occur in practice).
 const maxCommonModules = 8
 
+// searchPollSteps is how many DFS steps searchPath takes between
+// cancellation polls: a single merge attempt can explore exponentially
+// many partial paths, so polling between merge candidates alone would let
+// one attempt outlive its deadline by seconds.
+const searchPollSteps = 1024
+
 // Run executes Algorithm 1 on the netlist. When enabled is false it skips
 // all merging and only generates the unbridged nets (the "w/o bridging"
 // ablation of Table V).
@@ -91,8 +97,8 @@ func Run(nl *modular.Netlist, enabled bool) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the iterative merging
-// loop polls ctx between merge candidates and aborts with an error
-// wrapping faults.ErrCanceled.
+// loop polls ctx between merge candidates and every searchPollSteps steps
+// of a path search, and aborts with an error wrapping faults.ErrCanceled.
 func RunContext(ctx context.Context, nl *modular.Netlist, enabled bool) (*Result, error) {
 	if err := faults.Canceled(ctx); err != nil {
 		return nil, fmt.Errorf("bridge: %w", err)
@@ -164,7 +170,8 @@ func (q *loopPQ) Pop() any {
 }
 
 // runIterativeBridging is Algorithm 1. The context is polled between
-// merge candidates so cancellation aborts within one tryMerge.
+// merge candidates and inside each candidate's path search, so
+// cancellation aborts within searchPollSteps DFS steps.
 func (r *Result) runIterativeBridging(ctx context.Context) error {
 	nl := r.NL
 	processed := make([]bool, len(nl.Loops))
@@ -201,7 +208,11 @@ func (r *Result) runIterativeBridging(ctx context.Context) error {
 			if processed[le] || rejected[le] {
 				continue
 			}
-			if r.tryMerge(&st, le) {
+			merged, err := r.tryMerge(ctx, &st, le)
+			if err != nil {
+				return fmt.Errorf("bridge: %w", err)
+			}
+			if merged {
 				processed[le] = true
 				r.Merges++
 				// Push l_e's unprocessed relatives (line 15) and refresh
@@ -252,19 +263,20 @@ func (r *Result) commonModules(st *Structure, le int) []int {
 
 // tryMerge attempts to merge loop le into structure st: bridge graph
 // construction, critical-vertex ordering, path search, reconstructability
-// check, and chain update (lines 10-17 of Algorithm 1).
-func (r *Result) tryMerge(st *Structure, le int) bool {
+// check, and chain update (lines 10-17 of Algorithm 1). It fails only when
+// ctx dies during the path search.
+func (r *Result) tryMerge(ctx context.Context, st *Structure, le int) (bool, error) {
 	common := r.commonModules(st, le)
 	if len(common) == 0 || len(common) > maxCommonModules {
-		return false
+		return false, nil
 	}
 	g := r.buildBridgeGraph(st, common)
-	path := r.findCriticalPath(g, st, common)
-	if path == nil {
-		return false
+	path, err := r.findCriticalPath(ctx, g, st, common)
+	if err != nil || path == nil {
+		return false, err
 	}
 	r.applyMerge(st, le, common, path)
-	return true
+	return true, nil
 }
 
 // bridgeGraph is G_{b,l_e}.
@@ -378,8 +390,9 @@ func (r *Result) buildBridgeGraph(st *Structure, common []int) *bridgeGraph {
 // (the representative pin pairs of the common modules) pairwise in order.
 // It tries module orderings (all permutations for ≤4 common modules,
 // otherwise the ring order and its reverse) and both pin directions per
-// module, returning the first valid path.
-func (r *Result) findCriticalPath(g *bridgeGraph, st *Structure, common []int) []int {
+// module, returning the first valid path, or the cancellation error when
+// ctx dies mid-search.
+func (r *Result) findCriticalPath(ctx context.Context, g *bridgeGraph, st *Structure, common []int) ([]int, error) {
 	orders := moduleOrders(common)
 	nl := r.NL
 	for _, order := range orders {
@@ -395,14 +408,16 @@ func (r *Result) findCriticalPath(g *bridgeGraph, st *Structure, common []int) [
 				}
 				criticals = append(criticals, a, b)
 			}
-			if path := searchPath(g, criticals); path != nil {
-				if r.pathValid(st, path) {
-					return path
-				}
+			path, err := searchPath(ctx, g, criticals)
+			if err != nil {
+				return nil, err
+			}
+			if path != nil && r.pathValid(st, path) {
+				return path, nil
 			}
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // moduleOrders enumerates candidate connecting orders of the common
@@ -441,25 +456,35 @@ func permutations(xs []int) [][]int {
 
 // searchPath finds a simple path through g visiting criticals in order;
 // non-critical vertices may be interleaved. Returns nil if none exists.
-func searchPath(g *bridgeGraph, criticals []int) []int {
+// The DFS polls ctx every searchPollSteps steps and returns the
+// cancellation error once it is dead; polling never changes the search
+// order.
+func searchPath(ctx context.Context, g *bridgeGraph, criticals []int) ([]int, error) {
 	if len(criticals) == 0 {
-		return nil
+		return nil, nil
 	}
 	isCritical := map[int]int{} // vertex -> index in criticals
 	for i, c := range criticals {
 		if _, dup := isCritical[c]; dup {
-			return nil // degenerate: same pin twice in the order
+			return nil, nil // degenerate: same pin twice in the order
 		}
 		isCritical[c] = i
 	}
 	start := criticals[0]
 	if !g.vertices[start] {
-		return nil
+		return nil, nil
 	}
 	visited := map[int]bool{start: true}
 	path := []int{start}
+	steps := 0
+	var canceled error
 	var dfs func(v, nextIdx int) bool
 	dfs = func(v, nextIdx int) bool {
+		if steps++; steps%searchPollSteps == 0 {
+			if canceled = faults.Canceled(ctx); canceled != nil {
+				return true // unwind at once; canceled is reported below
+			}
+		}
 		if nextIdx == len(criticals) {
 			return true
 		}
@@ -491,9 +516,12 @@ func searchPath(g *bridgeGraph, criticals []int) []int {
 		return false
 	}
 	if !dfs(start, 1) {
-		return nil
+		return nil, nil
 	}
-	return append([]int(nil), path...)
+	if canceled != nil {
+		return nil, canceled
+	}
+	return append([]int(nil), path...), nil
 }
 
 // pathValid checks that applying the path's new connections preserves the

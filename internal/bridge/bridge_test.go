@@ -1,6 +1,7 @@
 package bridge
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -232,14 +233,21 @@ func TestSearchPathOrdering(t *testing.T) {
 		adj:         map[int][]int{0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}},
 		consecutive: map[[2]int]bool{},
 	}
-	if p := searchPath(g, []int{0, 1, 2, 3}); p == nil {
+	search := func(criticals []int) []int {
+		p, err := searchPath(context.Background(), g, criticals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if p := search([]int{0, 1, 2, 3}); p == nil {
 		t.Fatal("ordered path should exist")
 	}
-	if p := searchPath(g, []int{0, 1, 3, 2}); p != nil {
+	if p := search([]int{0, 1, 3, 2}); p != nil {
 		t.Fatalf("out-of-order criticals should fail, got %v", p)
 	}
 	// Intermediate non-critical vertices are allowed.
-	if p := searchPath(g, []int{0, 2}); p == nil || len(p) != 3 {
+	if p := search([]int{0, 2}); p == nil || len(p) != 3 {
 		t.Fatalf("path through non-critical vertex: %v", p)
 	}
 }

@@ -29,11 +29,6 @@ var (
 	// ErrInvariant marks a violated internal invariant that previously
 	// would have panicked.
 	ErrInvariant = errors.New("internal invariant violated")
-	// ErrTransient marks a fault expected to clear on retry: injected
-	// chaos faults, simulated worker crashes, and any backend hiccup a
-	// caller wraps with Transient. The resilience layer classifies it as
-	// retryable; everything else in the taxonomy is judged individually.
-	ErrTransient = errors.New("transient fault")
 	// ErrEmpty marks a workload that reduced to nothing to lay out — a
 	// circuit (or partitioned sub-circuit) whose gates all canceled
 	// during rewriting, leaving no modules to place. The partitioned
@@ -41,15 +36,6 @@ var (
 	// than as a compilation failure.
 	ErrEmpty = errors.New("nothing to lay out")
 )
-
-// Transient wraps err (or creates a bare fault from msg when err is nil)
-// so it matches ErrTransient under errors.Is, marking it safe to retry.
-func Transient(msg string, err error) error {
-	if err != nil {
-		return fmt.Errorf("%w: %s: %w", ErrTransient, msg, err)
-	}
-	return fmt.Errorf("%w: %s", ErrTransient, msg)
-}
 
 // Canceled converts a done context into an ErrCanceled-wrapped error; it
 // returns nil while ctx is live. Stages call it at loop checkpoints so a

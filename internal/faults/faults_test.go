@@ -48,18 +48,3 @@ func TestIsCancellation(t *testing.T) {
 		}
 	}
 }
-
-func TestTransientWrapping(t *testing.T) {
-	bare := Transient("worker crashed", nil)
-	if !errors.Is(bare, ErrTransient) {
-		t.Fatalf("bare transient lost sentinel: %v", bare)
-	}
-	inner := errors.New("connection reset")
-	wrapped := Transient("fetch", inner)
-	if !errors.Is(wrapped, ErrTransient) || !errors.Is(wrapped, inner) {
-		t.Fatalf("wrapped transient lost a link: %v", wrapped)
-	}
-	if errors.Is(bare, ErrCanceled) {
-		t.Fatalf("transient must not match cancellation: %v", bare)
-	}
-}

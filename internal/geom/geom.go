@@ -214,12 +214,16 @@ func (b Box) Intersect(o Box) Box {
 	return r
 }
 
-// Union returns the smallest box containing both b and o.
+// Union returns the smallest box containing both b and o. An empty
+// operand contributes nothing, and two empty operands give the canonical
+// empty box Box{}, so the union never depends on operand order.
 func (b Box) Union(o Box) Box {
-	if b.Empty() {
+	switch {
+	case b.Empty() && o.Empty():
+		return Box{}
+	case b.Empty():
 		return o
-	}
-	if o.Empty() {
+	case o.Empty():
 		return b
 	}
 	return Box{

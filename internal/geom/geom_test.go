@@ -244,6 +244,11 @@ func TestQuickBoxUnionContains(t *testing.T) {
 		u := a.Union(b)
 		return u == b.Union(a) && u.ContainsBox(a) && u.ContainsBox(b)
 	}
+	// Two different empty boxes quick.Check once drew: their union used to
+	// be whichever operand came second.
+	if !f(-36, 27, 110, -36, 121, -75, -36, 39, 108, -36, 95, 46) {
+		t.Fatal("union of two empty boxes depends on operand order")
+	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ type chaosDecision struct {
 }
 
 // chaosMix is the splitmix64 finalizer, the same generator the placement
-// and retry layers use for decorrelated deterministic streams.
+// stage uses for decorrelated deterministic streams.
 func chaosMix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	z := x

@@ -111,8 +111,7 @@ func (rig *chaosRig) start() {
 		Workers: 2, QueueDepth: 128, CacheBytes: 1 << 20,
 		MaxJobs:        1 << 17,
 		DefaultTimeout: 30 * time.Second, MaxTimeout: time.Minute,
-		AllowFaultInjection: true,
-		Journal:             j,
+		Journal: j,
 	}
 	s, err := server.New(cfg)
 	if err != nil {
@@ -203,13 +202,12 @@ func chaosSeconds(t *testing.T) time.Duration {
 }
 
 // TestChaosSoak is the service-layer chaos drill: a journal-backed tqecd
-// is bombarded with async jobs (a fraction carrying injected transient
-// faults) while a ChaosPlan injects 5xx bursts, slow responses, periodic
-// hard crashes with journal-only recovery, and torn-tail journal
-// corruption. Afterwards every accepted job must be terminal exactly once,
-// every completed payload byte-identical to an independent direct compile,
-// and the journal's own record must agree — no job lost, none
-// double-completed.
+// is bombarded with async jobs while a ChaosPlan injects 5xx bursts, slow
+// responses, periodic hard crashes with journal-only recovery, and
+// torn-tail journal corruption. Afterwards every accepted job must be
+// terminal exactly once, every completed payload byte-identical to an
+// independent direct compile, and the journal's own record must agree —
+// no job lost, none double-completed.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
@@ -235,9 +233,9 @@ func TestChaosSoak(t *testing.T) {
 	defer front.Close()
 	client := &http.Client{Transport: plan.RoundTripper(nil), Timeout: 30 * time.Second}
 
-	// The soak: rounds of concurrent async submissions with a fault mix,
-	// polled through the chaos layers, until the budget expires. Every
-	// 202-accepted job ID is recorded with its expected variant.
+	// The soak: rounds of concurrent async submissions, polled through
+	// the chaos layers, until the budget expires. Every 202-accepted job
+	// ID is recorded with its expected variant.
 	type accepted struct {
 		id      string
 		variant int
@@ -250,15 +248,12 @@ func TestChaosSoak(t *testing.T) {
 			bodies[i] = chaosBody(t, chaosVariants[(round*len(bodies)+i)%len(chaosVariants)])
 		}
 		results, err := RunLoad(context.Background(), LoadOptions{
-			BaseURL:       front.URL,
-			Client:        client,
-			Bodies:        bodies,
-			Concurrency:   4,
-			Async:         true,
-			PollInterval:  15 * time.Millisecond,
-			FaultFraction: 0.3,
-			FaultAttempts: 2,
-			FaultSeed:     uint64(round),
+			BaseURL:      front.URL,
+			Client:       client,
+			Bodies:       bodies,
+			Concurrency:  4,
+			Async:        true,
+			PollInterval: 15 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)

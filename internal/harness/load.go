@@ -36,19 +36,6 @@ type LoadOptions struct {
 	Async bool
 	// PollInterval is the async polling cadence (0 = 5ms).
 	PollInterval time.Duration
-
-	// FaultFraction selects that fraction of requests (deterministically,
-	// from FaultSeed and the request index) to carry an injected
-	// options.fault_attempts, exercising the server's retry path under
-	// concurrency. The server must run with AllowFaultInjection; because
-	// fault_attempts is excluded from the content address, a faulted
-	// request must still produce bytes identical to its unfaulted twin.
-	FaultFraction float64
-	// FaultAttempts is the number of injected transient faults per
-	// selected request (0 = 2, which a default retry budget absorbs).
-	FaultAttempts int
-	// FaultSeed decorrelates the fault-mix selection between runs.
-	FaultSeed uint64
 }
 
 // LoadResult records the terminal outcome of one generated request.
@@ -67,9 +54,6 @@ type LoadResult struct {
 	// and rejected submissions); crash-recovery tests use it to poll jobs
 	// across a server restart.
 	JobID string
-	// Faulted marks a request the fault-mix mode mutated to carry
-	// injected transient faults.
-	Faulted bool
 	// Body is the raw success payload (the compile result JSON).
 	Body []byte
 	// ErrorBody is the raw structured error payload, when the request
@@ -130,15 +114,6 @@ func RunLoad(ctx context.Context, opts LoadOptions) ([]LoadResult, error) {
 				r := &results[i]
 				r.Index = i
 				body := opts.Bodies[i]
-				if faultSelected(opts, i) {
-					mutated, err := injectFaultAttempts(body, opts.FaultAttempts)
-					if err != nil {
-						r.Err = fmt.Errorf("fault-mix mutate: %w", err)
-						continue
-					}
-					body = mutated
-					r.Faulted = true
-				}
 				if opts.Async {
 					runAsync(ctx, client, opts.BaseURL, body, poll, r)
 				} else {
@@ -158,54 +133,6 @@ feed:
 	close(next)
 	wg.Wait()
 	return results, ctx.Err()
-}
-
-// faultSelected decides deterministically whether request i joins the
-// fault mix: the splitmix64 stream of FaultSeed maps each index onto
-// [0, 1) and compares it against FaultFraction.
-func faultSelected(opts LoadOptions, i int) bool {
-	if opts.FaultFraction <= 0 {
-		return false
-	}
-	return chaosFrac(chaosMix(opts.FaultSeed+uint64(i))) < opts.FaultFraction
-}
-
-// injectFaultAttempts rewrites a compile-request body to carry
-// options.fault_attempts, preserving every other field. The rewrite works
-// on raw JSON so the harness stays decoupled from the server's request
-// types.
-func injectFaultAttempts(body []byte, attempts int) ([]byte, error) {
-	if attempts <= 0 {
-		attempts = 2
-	}
-	var req map[string]json.RawMessage
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	o := map[string]any{}
-	if raw, ok := req["options"]; ok {
-		if err := json.Unmarshal(raw, &o); err != nil {
-			return nil, err
-		}
-	}
-	o["fault_attempts"] = attempts
-	enc, err := json.Marshal(o)
-	if err != nil {
-		return nil, err
-	}
-	req["options"] = enc
-	return json.Marshal(req)
-}
-
-// CountFaulted tallies the fault-mixed requests in a result set.
-func CountFaulted(results []LoadResult) int {
-	n := 0
-	for i := range results {
-		if results[i].Faulted {
-			n++
-		}
-	}
-	return n
 }
 
 // postJSON posts body and returns the status, response headers and payload.

@@ -6,14 +6,13 @@ import (
 
 // CtxSleep flags time.Sleep inside a loop in library code: a sleep-based
 // retry/poll loop is blind to the caller's context — it keeps burning the
-// deadline (and the worker) after cancellation, exactly the failure mode
-// internal/resilience exists to prevent. Such loops must use
-// resilience.Do (context-aware backoff) or an explicit timer/ctx select.
-// A one-shot sleep outside a loop, main packages and _test.go files stay
-// legal; a reviewed exception carries a //lint:ignore ctxsleep directive.
+// deadline (and the worker) after cancellation. Such loops must wait in an
+// explicit timer/ctx select. A one-shot sleep outside a loop, main
+// packages and _test.go files stay legal; a reviewed exception carries a
+// //lint:ignore ctxsleep directive.
 var CtxSleep = &Analyzer{
 	Name: "ctxsleep",
-	Doc:  "no time.Sleep retry loops in library code: use internal/resilience or a timer/ctx select",
+	Doc:  "no time.Sleep retry loops in library code: use a timer/ctx select",
 	Run:  runCtxSleep,
 }
 
@@ -54,7 +53,7 @@ func checkLoopSleeps(pass *Pass, body *ast.BlockStmt) {
 			return true
 		}
 		if pkgFunc(calleeFunc(pass.Pkg.Info, call)) == "time.Sleep" {
-			pass.Reportf(call.Pos(), "time.Sleep in a loop is context-blind: use resilience.Do or a timer/ctx select")
+			pass.Reportf(call.Pos(), "time.Sleep in a loop is context-blind: use a timer/ctx select")
 		}
 		return true
 	})

@@ -1,3 +1,7 @@
+// Package resilience holds the service layer's circuit breaker, which
+// sheds load while compiles keep failing systemically. Compilation is a
+// pure function of the circuit and the seed, so a failed compile is never
+// retried: it would fail the same way again.
 package resilience
 
 import (

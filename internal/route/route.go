@@ -1,11 +1,14 @@
 // Package route implements the paper's dual-defect net routing (Section
 // III-D): iterative A* maze routing inside bounded search regions, a
 // negotiation-based rip-up-and-reroute scheme with a history map
-// (PathFinder-style), an R-tree obstacle index for module bodies and
-// distillation boxes, and friend-net-aware targets — a net sharing a pin
-// with an already routed net may terminate anywhere on the routed friend's
-// path instead of at the pin, a topological deformation that preserves the
-// braiding relationship (Fig. 19).
+// (PathFinder-style), module bodies and distillation boxes rasterized as
+// static obstacles into the dense cell grid the A* kernels probe, and
+// friend-net-aware targets — a net sharing a pin with an already routed
+// net may terminate anywhere on the routed friend's path instead of at the
+// pin, a topological deformation that preserves the braiding relationship
+// (Fig. 19). R-trees index routed net bounds for rip-up victim scans, the
+// first pass's batch regions, and the obstacles verification checks
+// against.
 //
 // The hot path is organized around three compounding optimizations:
 // bidirectional A* for single-start/single-target nets (search.go), a
@@ -216,8 +219,6 @@ type router struct {
 	// toggled in the serial degrade phase, never during batched searches.
 	shove bool
 
-	static *rtree.Tree // module bodies and distillation boxes
-
 	// grid holds the per-cell world state — rasterized static obstacles,
 	// net ownership (a cell is recorded for its first owner only; friend
 	// endpoints may coincide), pin ownership and congestion history — in
@@ -290,7 +291,6 @@ func newRouter(ctx context.Context, p *place.Placement, nets []bridge.Net, opts 
 		nets:        nets,
 		opts:        opts,
 		ctx:         ctx,
-		static:      rtree.New(),
 		pinCell:     map[int]geom.Point{},
 		routes:      map[int]geom.Path{},
 		routeBounds: map[int]geom.Box{},
@@ -335,10 +335,10 @@ func (r *router) build() error {
 	staticCells := map[geom.Point]bool{}
 	cellPin := map[geom.Point]int{}
 	for m := range cl.NL.Modules {
-		r.addObstacle(r.p.ModuleBox(m), staticCells)
+		addObstacle(r.p.ModuleBox(m), staticCells)
 	}
 	for _, b := range r.p.BoxObstacles() {
-		r.addObstacle(b, staticCells)
+		addObstacle(b, staticCells)
 	}
 	for _, n := range r.nets {
 		for _, pid := range []int{n.PinA, n.PinB} {
@@ -364,10 +364,8 @@ func (r *router) build() error {
 	return nil
 }
 
-// addObstacle indexes a static obstacle box in the R-tree and rasterizes
-// its cells into staticCells.
-func (r *router) addObstacle(b geom.Box, staticCells map[geom.Point]bool) {
-	r.static.Insert(b, -1)
+// addObstacle rasterizes a static obstacle box's cells into staticCells.
+func addObstacle(b geom.Box, staticCells map[geom.Point]bool) {
 	for x := b.Min.X; x < b.Max.X; x++ {
 		for y := b.Min.Y; y < b.Max.Y; y++ {
 			for z := b.Min.Z; z < b.Max.Z; z++ {

@@ -56,15 +56,14 @@ func RouteSeams(ctx context.Context, obstacles []geom.Box, nets []SeamNet, base 
 }
 
 // buildSeams is the placement-free analogue of build: obstacles land in
-// the static R-tree and grid verbatim, and pin cells are taken as given
-// (erroring instead of rehoming when a pin collides with an obstacle or
-// another pin, since seam pins are chosen by the stitcher on planes it
-// knows to be free).
+// the grid verbatim, and pin cells are taken as given (erroring instead of
+// rehoming when a pin collides with an obstacle or another pin, since seam
+// pins are chosen by the stitcher on planes it knows to be free).
 func (r *router) buildSeams(obstacles []geom.Box, nets []SeamNet, base geom.Box) error {
 	staticCells := map[geom.Point]bool{}
 	for _, b := range obstacles {
 		if b.Volume() > 0 {
-			r.addObstacle(b, staticCells)
+			addObstacle(b, staticCells)
 		}
 	}
 	cellPin := map[geom.Point]int{}

@@ -62,24 +62,16 @@ type CompileOptions struct {
 	// TimeoutMS bounds this compilation in milliseconds (0 = the
 	// server's default; values above the server's maximum are clamped).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// FaultAttempts injects that many transient faults before the compile
-	// is allowed to succeed — the chaos harness's hook for exercising the
-	// retry path end to end. Rejected unless the server was configured
-	// with AllowFaultInjection. It is deliberately excluded from the
-	// content address: a faulted request retried to success must yield
-	// byte-identical payloads to its unfaulted twin.
-	FaultAttempts int `json:"fault_attempts,omitempty"`
 }
 
 // compileTask is a parsed, validated compile request ready for the worker
-// pool: the circuit, the full pipeline options, the content address, the
-// effective deadline, and the number of injected transient faults.
+// pool: the circuit, the full pipeline options, the content address, and
+// the effective deadline.
 type compileTask struct {
-	circuit       *qc.Circuit
-	opts          tqec.Options
-	key           string
-	timeout       time.Duration
-	faultAttempts int
+	circuit *qc.Circuit
+	opts    tqec.Options
+	key     string
+	timeout time.Duration
 }
 
 // parseLimits bundles the server-side request validation knobs so the
@@ -89,8 +81,6 @@ type parseLimits struct {
 	defaultTimeout time.Duration
 	// maxTimeout clamps request-supplied timeouts.
 	maxTimeout time.Duration
-	// allowFaults admits the fault_attempts chaos hook.
-	allowFaults bool
 	// defaultPartition applies when the request leaves partition_qubits
 	// at 0 (negative request values force partitioning off).
 	defaultPartition int
@@ -116,12 +106,6 @@ func parseCompileRequest(r io.Reader, lim parseLimits) (*compileTask, *apiError)
 
 // buildCompileTask turns a decoded request into a runnable task.
 func buildCompileTask(req *CompileRequest, lim parseLimits) (*compileTask, *apiError) {
-	if req.Options.FaultAttempts < 0 {
-		return nil, badRequest("fault_attempts must be non-negative")
-	}
-	if req.Options.FaultAttempts > 0 && !lim.allowFaults {
-		return nil, badRequest("fault_attempts requires a server started with fault injection enabled")
-	}
 	circuit, aerr := loadCircuit(req)
 	if aerr != nil {
 		return nil, aerr
@@ -145,8 +129,7 @@ func buildCompileTask(req *CompileRequest, lim parseLimits) (*compileTask, *apiE
 	if lim.maxTimeout > 0 && (timeout <= 0 || timeout > lim.maxTimeout) {
 		timeout = lim.maxTimeout
 	}
-	return &compileTask{circuit: circuit, opts: opts, key: key, timeout: timeout,
-		faultAttempts: req.Options.FaultAttempts}, nil
+	return &compileTask{circuit: circuit, opts: opts, key: key, timeout: timeout}, nil
 }
 
 // loadCircuit resolves the request's circuit source.
@@ -533,11 +516,6 @@ func compileError(err error) *apiError {
 	case errors.Is(err, resilience.ErrBreakerOpen):
 		ae.Status = 503
 		ae.Body.Sentinel = "breaker_open"
-	case errors.Is(err, faults.ErrTransient):
-		// A transient fault that survived the retry budget: the client
-		// should try again shortly, not treat it as a hard failure.
-		ae.Status = 503
-		ae.Body.Sentinel = "transient"
 	case faults.IsCancellation(err):
 		ae.Status = 504
 		ae.Body.Sentinel = "canceled"

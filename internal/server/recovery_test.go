@@ -310,6 +310,64 @@ func TestJournalRecoveryWithFullQueue(t *testing.T) {
 	}
 }
 
+// TestJournalRecoveryFailsUnparsableRequest replays an accepted job whose
+// request bytes no longer parse: a journal written by a build that took an
+// options field this build rejects as unknown. Recovery must fail the job
+// visibly with a structured 400, count it as recovered, and journal the
+// failure so the next restart serves the same terminal state.
+func TestJournalRecoveryFailsUnparsableRequest(t *testing.T) {
+	dir := t.TempDir()
+	jw := openJournal(t, dir)
+	body := []byte(fmt.Sprintf(`{"real":%q,"name":"fig4","options":{"seed":1,"retired_option":2}}`, realSrc))
+	if err := jw.Append(journal.Event{Kind: journal.KindAccepted, JobID: "oldjob-1", Request: body}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restart := func() (JobView, MetricsSnapshot) {
+		j := openJournal(t, dir)
+		cfg := testConfig()
+		cfg.Journal = j
+		s := startServer(t, cfg)
+		v := pollDone(t, s, "oldjob-1")
+		var snap MetricsSnapshot
+		if err := json.Unmarshal(get(s, "/v1/metrics").Body.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return v, snap
+	}
+	first, snap := restart()
+	if first.Status != JobFailed || first.Error == nil || first.Error.Message == "" {
+		t.Fatalf("unparsable job after recovery: %s, error %+v; want failed with a structured error", first.Status, first.Error)
+	}
+	if snap.Journal == nil || snap.Journal.RecoveredInterrupted != 1 {
+		t.Fatalf("journal metrics %+v, want the job counted as recovered_interrupted", snap.Journal)
+	}
+
+	// The failure is journaled with its 400, so the next restart restores
+	// the same terminal state instead of re-parsing the request.
+	j := openJournal(t, dir)
+	states := j.Recovered()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(states) != 1 || states[0].Status != journal.StatusFailed {
+		t.Fatalf("journal after recovery: %+v, want one failed job", states)
+	}
+	if ae := decodeWireError(states[0].Error); ae.Status != 400 || ae.Body != *first.Error {
+		t.Fatalf("journaled error %d %+v, want 400 %+v", ae.Status, ae.Body, *first.Error)
+	}
+	second, _ := restart()
+	if second.Status != first.Status || *second.Error != *first.Error {
+		t.Fatalf("second restart: %s %+v, want %s %+v", second.Status, second.Error, first.Status, first.Error)
+	}
+}
+
 // TestDrainDeadlineJournalsInterrupted documents the Drain/Close ordering
 // contract: when the drain budget expires with jobs still queued, those
 // jobs stay journaled as interrupted and the next process re-enqueues

@@ -1,7 +1,7 @@
 package server
 
 // This file is the server's resilience glue: journal appends and crash
-// recovery, the retry loop around the compile path, the circuit-breaker
+// recovery, breaker accounting around the compile path, the circuit-breaker
 // gate, and deadline-aware admission control. The mechanisms themselves
 // live in internal/journal and internal/resilience; everything here is
 // policy — which events are durable, which failures count as systemic,
@@ -14,13 +14,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/ccache"
 	"repro/internal/faults"
 	"repro/internal/journal"
-	"repro/internal/resilience"
 )
 
 // gate runs the pre-queue rejection checks for a request that will need a
@@ -84,29 +82,12 @@ func (s *Server) observeCompileEWMA(d time.Duration) {
 	}
 }
 
-// compileWithRetry is the resilient compile path every cache miss funnels
-// through: retries with deterministic backoff for transient-class failures,
-// and breaker accounting. Every attempt runs the request's own options, and
-// the jitter is seeded from the content address, so a retried compile
-// yields the same bytes on every process that runs it, which is what keeps
-// cached payloads byte-identical across crash recovery.
-func (s *Server) compileWithRetry(ctx context.Context, ct *compileTask) ([]byte, error) {
-	var out []byte
-	p := resilience.Policy{
-		MaxAttempts: retryAttempts,
-		BaseDelay:   retryBaseDelay,
-		MaxDelay:    retryMaxDelay,
-		JitterSeed:  seedFromKey(ct.key),
-		OnRetry:     func(int, error, time.Duration) { s.retries.Inc() },
-	}
-	err := resilience.Do(ctx, p, func(actx context.Context, attempt int) error {
-		b, aerr := s.execute(actx, ct, attempt)
-		if aerr != nil {
-			return aerr
-		}
-		out = b
-		return nil
-	})
+// compile is the path every cache miss funnels through: one execute call
+// plus breaker accounting. Compilation is a pure function of the circuit
+// and the options, so a failed compile would fail the same way again and
+// is never retried.
+func (s *Server) compile(ctx context.Context, ct *compileTask) ([]byte, error) {
+	out, err := s.execute(ctx, ct)
 	// Breaker accounting: only systemic failures say the service itself is
 	// sick. A clean result, a client-caused failure (bad deadline), or an
 	// unsatisfiable circuit all mean the machinery works.
@@ -119,25 +100,9 @@ func (s *Server) compileWithRetry(ctx context.Context, ct *compileTask) ([]byte,
 }
 
 // systemicFailure reports whether err indicts the service rather than the
-// request: recovered panics, invariant violations, and transient faults
-// that survived the whole retry budget.
+// request: recovered panics and invariant violations.
 func systemicFailure(err error) bool {
-	return errors.Is(err, faults.ErrPanic) ||
-		errors.Is(err, faults.ErrInvariant) ||
-		errors.Is(err, faults.ErrTransient)
-}
-
-// seedFromKey derives the deterministic jitter seed from a content address
-// (the leading 16 hex digits of the SHA-256 key).
-func seedFromKey(key string) uint64 {
-	if len(key) < 16 {
-		return 0
-	}
-	seed, err := strconv.ParseUint(key[:16], 16, 64)
-	if err != nil {
-		return 0
-	}
-	return seed
+	return errors.Is(err, faults.ErrPanic) || errors.Is(err, faults.ErrInvariant)
 }
 
 // outcomeFromString parses a journaled cache-outcome name back into its

@@ -60,14 +60,12 @@ type Journal interface {
 // maxBodyBytes bounds request bodies.
 const maxBodyBytes = 4 << 20
 
-// The compile retry policy for transient-class failures: retryAttempts
-// bounds compile attempts per request, and the backoff grows from
-// retryBaseDelay to at most retryMaxDelay. Workers sleep through the
-// backoff, so it stays small.
+// The circuit breaker trips open after breakerThreshold consecutive
+// systemic compile failures (panics, invariant violations) and sheds
+// uncached requests for breakerCooldown before admitting a probe.
 const (
-	retryAttempts  = 3
-	retryBaseDelay = 5 * time.Millisecond
-	retryMaxDelay  = 100 * time.Millisecond
+	breakerThreshold = 8
+	breakerCooldown  = 10 * time.Second
 )
 
 // Config sizes the service. Zero values mean defaults.
@@ -100,16 +98,6 @@ type Config struct {
 	// interrupted jobs and restoring finished ones into the registry and
 	// result cache. Nil keeps jobs in memory only.
 	Journal Journal
-	// BreakerThreshold is how many consecutive systemic compile failures
-	// (panics, invariant violations, unresolved transients) trip the
-	// circuit breaker open (default 8).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker sheds load before
-	// probing (default 10s).
-	BreakerCooldown time.Duration
-	// AllowFaultInjection admits the fault_attempts chaos hook in request
-	// options. Leave off outside tests and chaos drills.
-	AllowFaultInjection bool
 }
 
 // withDefaults fills unset fields.
@@ -135,19 +123,13 @@ func (c Config) withDefaults() Config {
 	if c.JobTTL == 0 {
 		c.JobTTL = 15 * time.Minute
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 8
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * time.Second
-	}
 	return c
 }
 
 // limits bundles the request-parsing knobs.
 func (c Config) limits() parseLimits {
 	return parseLimits{defaultTimeout: c.DefaultTimeout, maxTimeout: c.MaxTimeout,
-		allowFaults: c.AllowFaultInjection, defaultPartition: c.PartitionQubits}
+		defaultPartition: c.PartitionQubits}
 }
 
 // Server is the compile service. Create with New, launch the workers with
@@ -172,8 +154,6 @@ type Server struct {
 	rejected      metrics.Counter
 	writeErrors   metrics.Counter
 	jobsSubmitted metrics.Counter
-	retries       metrics.Counter
-	transients    metrics.Counter
 	admissionRej  metrics.Counter
 	journalErrs   metrics.Counter
 	compileEWMA   atomic.Int64 // ns, exponentially weighted compile latency
@@ -200,7 +180,7 @@ func New(cfg Config) (*Server, error) {
 		cache:       ccache.New(cfg.CacheBytes),
 		jobs:        jobs,
 		mux:         http.NewServeMux(),
-		breaker:     resilience.NewBreaker(resilience.BreakerSettings{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}),
+		breaker:     resilience.NewBreaker(resilience.BreakerSettings{Threshold: breakerThreshold, Cooldown: breakerCooldown}),
 		compileHist: metrics.NewHistogram(),
 		stageHists:  map[string]*metrics.Histogram{},
 	}
@@ -253,17 +233,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// execute runs one compilation attempt on a worker goroutine and encodes
-// the deterministic response payload. It is the only place compiles happen,
-// so the compile counter equals cache misses plus retried attempts.
-// Attempts below the task's injected fault budget fail with a transient
-// fault instead of compiling (the chaos hook); successful attempts feed the
+// execute runs one compilation on a worker goroutine and encodes the
+// deterministic response payload. It is the only place compiles happen, so
+// the compile counter equals cache misses; successful compiles feed the
 // admission controller's latency estimate.
-func (s *Server) execute(ctx context.Context, ct *compileTask, attempt int) ([]byte, error) {
-	if attempt < ct.faultAttempts {
-		s.transients.Inc()
-		return nil, faults.Transient(fmt.Sprintf("injected fault %d of %d", attempt+1, ct.faultAttempts), nil)
-	}
+func (s *Server) execute(ctx context.Context, ct *compileTask) ([]byte, error) {
 	s.compiles.Inc()
 	start := time.Now()
 	if ct.opts.Partition.MaxQubitsPerPart > 0 {
@@ -321,7 +295,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	body, outcome, err := s.cache.Do(r.Context(), ct.key, func() ([]byte, error) {
 		return s.pool.run(ct.timeout, func(ctx context.Context) ([]byte, error) {
 			ran = true
-			return s.compileWithRetry(ctx, ct)
+			return s.compile(ctx, ct)
 		})
 	})
 	if gated && !ran {
@@ -396,7 +370,7 @@ func (s *Server) enqueueJob(j *job, ct *compileTask) *apiError {
 		j.setRunning()
 		s.journalAppend(journal.Event{Kind: journal.KindRunning, JobID: j.id})
 		body, outcome, err := s.cache.Do(ctx, ct.key, func() ([]byte, error) {
-			return s.compileWithRetry(ctx, ct)
+			return s.compile(ctx, ct)
 		})
 		if err != nil {
 			if s.hardStopped(err) {
@@ -479,13 +453,12 @@ type JobsStats struct {
 	Evicted int64 `json:"evicted"`
 }
 
-// ResilienceStats are the retry/breaker/admission counters of
+// ResilienceStats are the breaker and admission counters of
 // MetricsSnapshot.
 type ResilienceStats struct {
-	// Retries counts scheduled compile retries.
+	// Retries is always 0: compiles are deterministic and never retried.
+	// The field stays so existing metrics readers keep parsing.
 	Retries int64 `json:"retries"`
-	// TransientFaults counts injected transient faults (chaos hook).
-	TransientFaults int64 `json:"transient_faults"`
 	// BreakerState is the circuit breaker's current mode.
 	BreakerState string `json:"breaker_state"`
 	// BreakerTrips counts closed-to-open transitions.
@@ -519,7 +492,7 @@ type MetricsSnapshot struct {
 	Jobs JobsStats `json:"jobs"`
 	// Cache holds the result-cache counters.
 	Cache ccache.Stats `json:"cache"`
-	// Resilience holds retry, breaker and admission counters.
+	// Resilience holds breaker and admission counters.
 	Resilience ResilienceStats `json:"resilience"`
 	// Journal holds durability counters when a journal is configured.
 	Journal *JournalStats `json:"journal,omitempty"`
@@ -556,8 +529,6 @@ func (s *Server) snapshot() MetricsSnapshot {
 		},
 		Cache: s.cache.Stats(),
 		Resilience: ResilienceStats{
-			Retries:           s.retries.Value(),
-			TransientFaults:   s.transients.Value(),
 			BreakerState:      s.breaker.State().String(),
 			BreakerTrips:      s.breaker.Trips(),
 			AdmissionRejected: s.admissionRej.Value(),

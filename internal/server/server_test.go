@@ -392,7 +392,7 @@ func TestMetricsJSONGolden(t *testing.T) {
 		`"queue":{"depth":0,"capacity":8,"workers":2,"busy":0},` +
 		`"jobs":{"submitted":0,"queued":0,"running":0,"done":0,"failed":0,"evicted":0},` +
 		`"cache":{"lookups":0,"hits":0,"misses":0,"shared":0,"evictions":0,"uncacheable":0,"entries":0,"bytes":0,"max_bytes":1024},` +
-		`"resilience":{"retries":0,"transient_faults":0,"breaker_state":"closed","breaker_trips":0,"admission_rejected":0,"compile_ewma_ns":0},` +
+		`"resilience":{"retries":0,"breaker_state":"closed","breaker_trips":0,"admission_rejected":0,"compile_ewma_ns":0},` +
 		`"latency_ns":{` +
 		`"compile":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
 		`"queue_wait":{"count":0,"sum_ns":0,"min_ns":0,"max_ns":0},` +
@@ -481,7 +481,7 @@ func FuzzParseCompileRequest(f *testing.F) {
 	f.Add([]byte(`{"bench":"x","real":"y"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ct, aerr := parseCompileRequest(bytes.NewReader(data),
-			parseLimits{defaultTimeout: time.Second, maxTimeout: time.Minute, allowFaults: true})
+			parseLimits{defaultTimeout: time.Second, maxTimeout: time.Minute})
 		if (ct == nil) == (aerr == nil) {
 			t.Fatalf("exactly one of task/error must be set: %v %v", ct, aerr)
 		}

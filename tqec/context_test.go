@@ -3,6 +3,7 @@ package tqec
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,6 +85,54 @@ func TestDeadlineAbortsMidSA(t *testing.T) {
 	}
 	if elapsed > 10*time.Second {
 		t.Fatalf("mid-SA abort took %v, want bounded wall-clock", elapsed)
+	}
+}
+
+// bridgeBlowup is a 9-gate circuit whose bridging path search explores
+// exponentially many partial paths: run to completion it takes seconds.
+const bridgeBlowup = `.version 2.0
+.numvars 5
+.variables q0 q1 q2 q3 q4
+.begin
+t3 q0 q1 q3
+t1 q4
+t2 q1 q4
+t2 q2 q4
+t1 q2
+t3 q0 q4 q2
+t1 q2
+t3 q1 q4 q3
+t1 q1
+.end
+`
+
+// A deadline that expires inside a single merge attempt's path search must
+// abort bridging promptly, not after the search runs out.
+func TestDeadlineAbortsMidBridging(t *testing.T) {
+	c, err := qc.ParseReal("bridge-blowup", strings.NewReader(bridgeBlowup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Place.Seed = 1
+	opts.Place.Chains = 1
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := CompileContext(ctx, c, opts)
+	elapsed := time.Since(start)
+	if res != nil {
+		t.Fatal("result should be nil")
+	}
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	se, ok := AsStageError(err)
+	if !ok || se.Stage != StageBridging {
+		t.Fatalf("want bridging StageError, got %v", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("mid-bridging abort took %v, want under 2s", elapsed)
 	}
 }
 

@@ -354,7 +354,7 @@ func compileFrom(ctx context.Context, res *Result, opts Options) (*Result, error
 
 // withRouteClock returns ropts with a monotonic Clock injected when it has
 // none, so the router can attribute time to its sub-stages without reading
-// the wall clock itself (the route package is inside the detrand
+// the wall clock itself (the route package is inside the dettaint
 // determinism scope).
 func withRouteClock(ropts route.Options) route.Options {
 	if ropts.Clock == nil {
