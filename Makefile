@@ -84,9 +84,9 @@ bench-smoke:
 # Differential and invariant verification (cmd/tqecverify): re-derives the
 # pipeline's structural guarantees on the seed benchmarks plus randomized
 # circuits, and cross-checks the determinism contracts (multi-chain
-# placement, serial vs concurrent routing, cached vs fresh compile bytes,
-# bridged vs unbridged). `-bench all` sweeps every paper benchmark but
-# takes much longer; CI runs the seed set.
+# placement, cached vs fresh compile bytes, bridged vs unbridged).
+# `-bench all` sweeps every paper benchmark but takes much longer; CI
+# runs the seed set.
 check:
 	$(GO) run ./cmd/tqecverify -bench seed -random 2 -timeout 10m
 

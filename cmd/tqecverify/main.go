@@ -2,10 +2,9 @@
 // verifier (package check) against paper benchmarks and randomized
 // circuits: bridging reconstructability, placement and routing legality,
 // volume accounting, and the determinism differentials (multi-chain vs
-// sequential placement, concurrent vs serial routing, cached vs fresh
-// compile bytes, bridged vs unbridged compilation, and ZX-rewritten vs
-// unrewritten compilation — the last two with state-vector backing on
-// small circuits).
+// sequential placement, cached vs fresh compile bytes, bridged vs
+// unbridged compilation, and ZX-rewritten vs unrewritten compilation —
+// the last two with state-vector backing on small circuits).
 //
 // Usage:
 //

@@ -7,11 +7,10 @@
 // static obstacles and pin anchors), and volume accounting (the reported
 // compression metrics reconcile with the geometry) — and cross-checks the
 // pipeline's determinism contracts differentially: multi-chain SA
-// placement against its sequential twin, concurrent routing against the
-// serial pass, cached compile bytes against a fresh compile, bridged
-// against unbridged compilations, ZX-rewritten against unrewritten
-// compilations, and partitioned against whole-circuit compilations (all
-// backed by state-vector simulation on small circuits).
+// placement against its sequential twin, cached compile bytes against a
+// fresh compile, bridged against unbridged compilations, ZX-rewritten
+// against unrewritten compilations, and partitioned against whole-circuit
+// compilations (all backed by state-vector simulation on small circuits).
 //
 // The passes are pure observers: they never mutate the result under test.
 // cmd/tqecverify drives them from the command line, `make check` wires
@@ -177,7 +176,6 @@ func Result(ctx context.Context, res *tqec.Result, cfg Config) *Report {
 		chains = 2
 	}
 	add("diff-chains", fmt.Sprintf("K=%d", chains), DiffChains(ctx, res, cfg.Opts, chains))
-	add("diff-serial-routing", "", DiffSerialRouting(ctx, res, cfg.Opts))
 	if res.Circuit != nil {
 		add("diff-cache-bytes", "", DiffCacheBytes(ctx, res, cfg.Opts))
 		simmed, err := DiffBridging(ctx, res, cfg.Opts, cfg.MaxSimQubits)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/bridge"
@@ -54,7 +53,7 @@ func TestRunBenchmarkAllPasses(t *testing.T) {
 	}
 	want := []string{
 		"bridge-reconstructable", "placement-legal", "routing-legal", "volume-accounting",
-		"diff-chains", "diff-serial-routing", "diff-cache-bytes", "diff-bridging", "diff-zx",
+		"diff-chains", "diff-cache-bytes", "diff-bridging", "diff-zx",
 		"diff-partition",
 	}
 	if len(rep.Passes) != len(want) {
@@ -213,21 +212,6 @@ func copyRoutes(r *route.Result) map[int]geom.Path {
 		out[id] = append(p[:0:0], p...)
 	}
 	return out
-}
-
-func TestDiffSerialRoutingDetectsDivergence(t *testing.T) {
-	res := compiledBenchmark(t)
-	// A FailNet hook that fails net 0 only on the serial run makes the two
-	// modes genuinely diverge; the differential must notice.
-	opts := tqec.FastOptions()
-	var calls atomic.Int32
-	opts.Route.Serial = false
-	opts.Route.FailNet = func(id int) bool {
-		return id == 0 && calls.Add(1) == 1
-	}
-	if err := DiffSerialRouting(context.Background(), res, opts); err == nil {
-		t.Fatal("asymmetric fault injection not detected")
-	}
 }
 
 func TestShrinkFindsMinimalCircuit(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/decompose"
 	"repro/internal/partition"
 	"repro/internal/place"
-	"repro/internal/route"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/tqec"
@@ -66,56 +65,6 @@ func samePlacement(a, b *place.Placement) error {
 		if a.TierOf[s] != b.TierOf[s] {
 			return fmt.Errorf("super %d on tier %d vs %d", s, a.TierOf[s], b.TierOf[s])
 		}
-	}
-	return nil
-}
-
-// DiffSerialRouting cross-checks the router's batched first pass against
-// the serial pass: the conflict-graph batched implementation only
-// co-schedules nets whose search regions are pairwise disjoint and commits
-// in net order, so the two modes must agree on every routed cell and every
-// diagnostic counter.
-func DiffSerialRouting(ctx context.Context, res *tqec.Result, opts tqec.Options) error {
-	serialOpts := opts.Route
-	serialOpts.Serial = true
-	serial, err := route.RunContext(ctx, res.Placement, serialOpts)
-	if err != nil {
-		return fmt.Errorf("serial: %w", err)
-	}
-	parOpts := opts.Route
-	parOpts.Serial = false
-	par, err := route.RunContext(ctx, res.Placement, parOpts)
-	if err != nil {
-		return fmt.Errorf("batched: %w", err)
-	}
-	if len(serial.Routes) != len(par.Routes) {
-		return fmt.Errorf("serial routed %d nets, batched %d", len(serial.Routes), len(par.Routes))
-	}
-	for id, sp := range serial.Routes {
-		pp, ok := par.Routes[id]
-		if !ok {
-			return fmt.Errorf("net %d routed serially but not batched", id)
-		}
-		if len(sp) != len(pp) {
-			return fmt.Errorf("net %d path length %d serial vs %d batched", id, len(sp), len(pp))
-		}
-		for i := range sp {
-			if sp[i] != pp[i] {
-				return fmt.Errorf("net %d cell %d: %v serial vs %v batched", id, i, sp[i], pp[i])
-			}
-		}
-	}
-	if serial.Bounds != par.Bounds {
-		return fmt.Errorf("bounds %v serial vs %v batched", serial.Bounds, par.Bounds)
-	}
-	if serial.FirstPassRouted != par.FirstPassRouted ||
-		serial.Iterations != par.Iterations ||
-		serial.RippedUp != par.RippedUp ||
-		len(serial.Failed) != len(par.Failed) ||
-		len(serial.FallbackNets) != len(par.FallbackNets) {
-		return fmt.Errorf("diagnostics diverge: serial firstPass=%d iters=%d ripped=%d failed=%d fallback=%d, batched firstPass=%d iters=%d ripped=%d failed=%d fallback=%d",
-			serial.FirstPassRouted, serial.Iterations, serial.RippedUp, len(serial.Failed), len(serial.FallbackNets),
-			par.FirstPassRouted, par.Iterations, par.RippedUp, len(par.Failed), len(par.FallbackNets))
 	}
 	return nil
 }

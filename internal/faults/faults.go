@@ -19,7 +19,7 @@ var (
 	// including the straight-line fallback.
 	ErrUnroutable = errors.New("unroutable")
 	// ErrPlacementInvalid marks a placement that failed structural
-	// validation (overlap or time-ordering) after all retry attempts.
+	// validation (overlap or time-ordering).
 	ErrPlacementInvalid = errors.New("placement invalid")
 	// ErrDegraded marks a result produced under graceful degradation
 	// (e.g. fallback-routed nets): usable, but not at full quality.
@@ -33,7 +33,8 @@ var (
 	// circuit (or partitioned sub-circuit) whose gates all canceled
 	// during rewriting, leaving no modules to place. The partitioned
 	// compiler treats a part failing with it as geometry-free rather
-	// than as a compilation failure.
+	// than as a compilation failure, unless every part fails with it and
+	// no seam joins them.
 	ErrEmpty = errors.New("nothing to lay out")
 )
 

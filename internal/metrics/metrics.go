@@ -26,19 +26,18 @@ var AllStages = []string{StageOther, StageZX, StageBridging, StagePlacement, Sta
 
 // Counter names used by the fault-tolerant pipeline.
 const (
-	CounterPlacementRetries = "placement retries"
-	CounterFallbackNets     = "fallback-routed nets"
-	CounterUnroutedNets     = "unrouted nets"
-	CounterDegradations     = "degraded stages"
-	CounterRecoveredPanics  = "recovered panics"
-	CounterZXGatesBefore    = "zx gates before"
-	CounterZXGatesAfter     = "zx gates after"
-	CounterZXRewrites       = "zx rewrites"
-	CounterZXFallbacks      = "zx fallbacks"
+	CounterFallbackNets    = "fallback-routed nets"
+	CounterUnroutedNets    = "unrouted nets"
+	CounterDegradations    = "degraded stages"
+	CounterRecoveredPanics = "recovered panics"
+	CounterZXGatesBefore   = "zx gates before"
+	CounterZXGatesAfter    = "zx gates after"
+	CounterZXRewrites      = "zx rewrites"
+	CounterZXFallbacks     = "zx fallbacks"
 )
 
 // Breakdown accumulates wall-clock time per pipeline stage plus event
-// counters (retries, degradations, recovered panics).
+// counters (degradations, recovered panics).
 type Breakdown struct {
 	durations map[string]time.Duration
 	order     []string

@@ -2,6 +2,8 @@ package qc
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -181,6 +183,47 @@ func TestParseRealErrors(t *testing.T) {
 		if _, err := ParseReal("bad", strings.NewReader(src)); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
+	}
+}
+
+// TestParseRealSmallAllocation bounds the bytes one parse of a small
+// circuit allocates: the scanner buffer must grow with the input, not
+// start at the 1 MiB line limit.
+func TestParseRealSmallAllocation(t *testing.T) {
+	const src = ".version 1.0\n.numvars 3\n.variables a b c\n.begin\nt2 a b\nt2 b c\nt2 a c\n.end\n"
+	const parses = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < parses; i++ {
+		if _, err := ParseReal("small", strings.NewReader(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perParse := (after.TotalAlloc - before.TotalAlloc) / parses; perParse >= 64<<10 {
+		t.Fatalf("one small parse allocates %d bytes, want < %d", perParse, 64<<10)
+	}
+}
+
+// TestParseRealLongLine pins the 1 MiB line limit: a .variables line
+// longer than bufio's 64 KiB default still parses.
+func TestParseRealLongLine(t *testing.T) {
+	const n = 10000
+	var sb strings.Builder
+	sb.WriteString(".variables")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, " v%05d", i)
+	}
+	if sb.Len() <= 64<<10 {
+		t.Fatalf("header is %d bytes, want more than 64 KiB", sb.Len())
+	}
+	sb.WriteString("\n.begin\nt2 v00000 v09999\n.end\n")
+	c, err := ParseReal("wide", strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Qubits) != n || len(c.Gates) != 1 {
+		t.Fatalf("parsed %d qubits and %d gates, want %d and 1", len(c.Qubits), len(c.Gates), n)
 	}
 }
 

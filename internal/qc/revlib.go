@@ -19,7 +19,10 @@ import (
 // which we decompose later). Lines starting with '#' are comments.
 func ParseReal(name string, r io.Reader) (*Circuit, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// Lines may run to 1 MiB (wide .variables headers); the buffer starts
+	// small and grows only when a line needs it, so a small circuit costs
+	// a few KiB to parse.
+	sc.Buffer(nil, 1024*1024)
 	c := &Circuit{Name: name}
 	varIndex := map[string]int{}
 	inBody := false

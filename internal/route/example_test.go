@@ -3,7 +3,6 @@ package route_test
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/bridge"
@@ -17,16 +16,9 @@ import (
 	"repro/internal/route"
 )
 
-// ExampleRunContext routes the nets of a placed netlist under a
-// deadline. The pipeline prefix — decompose, ICM conversion, canonical
-// form, modular netlist, bridging, clustering, SA placement — produces
-// the placement; RunContext then runs the negotiated A* router over it.
-// Unless Options.Serial is set, nets whose search regions are disjoint
-// are searched concurrently, with results committed in net order, so the
-// outcome is identical to a serial run.
 // examplePlacement runs the pipeline prefix — decompose, ICM conversion,
 // canonical form, modular netlist, bridging, clustering, SA placement —
-// shared by the routing examples.
+// that produces the placement the routing example routes.
 func examplePlacement() *place.Placement {
 	c := qc.New("chain", 3)
 	c.Append(qc.CNOT(0, 1), qc.CNOT(1, 2))
@@ -56,6 +48,8 @@ func examplePlacement() *place.Placement {
 	return pl
 }
 
+// ExampleRunContext routes the nets of a placed netlist under a
+// deadline: RunContext runs the negotiated A* router over the placement.
 func ExampleRunContext() {
 	pl := examplePlacement()
 
@@ -73,34 +67,4 @@ func ExampleRunContext() {
 	// all nets routed: true
 	// degraded: false
 	// legal: true
-}
-
-// ExampleOptions demonstrates the scheduler knob: the batched first pass
-// (the default; Serial disables it) co-schedules nets whose search
-// regions are disjoint under a conflict-graph coloring and commits them in
-// net order, so every net routes through exactly the cells the serial pass
-// gives it — only the wall-clock differs.
-func ExampleOptions() {
-	pl := examplePlacement()
-
-	batched := route.DefaultOptions()
-	serial := batched
-	serial.Serial = true
-
-	a, err := route.Run(pl, batched)
-	if err != nil {
-		panic(err)
-	}
-	b, err := route.Run(pl, serial)
-	if err != nil {
-		panic(err)
-	}
-
-	same := len(a.Routes) == len(b.Routes)
-	for id, p := range a.Routes {
-		same = same && slices.Equal(p, b.Routes[id])
-	}
-	fmt.Println("batched matches serial:", same)
-	// Output:
-	// batched matches serial: true
 }

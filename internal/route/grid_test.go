@@ -166,7 +166,7 @@ func TestScratchGenerationReuse(t *testing.T) {
 }
 
 // routeFixture builds a bridged, placed benchmark circuit large enough to
-// exercise negotiation and multi-net batches.
+// exercise negotiation.
 func routeFixture(t testing.TB) *place.Placement {
 	t.Helper()
 	spec, err := qc.BenchmarkByName("4gt10-v1_81")
@@ -211,29 +211,11 @@ func sortedInts(xs []int) []int {
 	return out
 }
 
-// TestConcurrentFirstPassMatchesSerial pins the tentpole equivalence
-// contract: the concurrent first pass (disjoint-region batches, in-order
-// commits) must produce the identical result to Serial routing.
-func TestConcurrentFirstPassMatchesSerial(t *testing.T) {
-	pl := routeFixture(t)
-	serialOpts := DefaultOptions()
-	serialOpts.Serial = true
-	serial, err := Run(pl, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := Run(pl, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRouting(t, "concurrent-vs-serial", serial, conc)
-}
-
 // TestRoutingDeterministicAcrossRuns pins bit-identical routing for a
-// fixed placement: two runs (concurrent first pass included) must agree
-// on every route, count and the HistoryCells/MaxHistory statistics. This
-// is the regression test for the finish() history accounting, which now
-// uses an order-independent aggregate instead of map iteration.
+// fixed placement: two runs must agree on every route, count and the
+// HistoryCells/MaxHistory statistics. This is the regression test for the
+// finish() history accounting, which now uses an order-independent
+// aggregate instead of map iteration.
 func TestRoutingDeterministicAcrossRuns(t *testing.T) {
 	pl := routeFixture(t)
 	a, err := Run(pl, DefaultOptions())

@@ -6,25 +6,21 @@
 // friend-net-aware targets — a net sharing a pin with an already routed
 // net may terminate anywhere on the routed friend's path instead of at the
 // pin, a topological deformation that preserves the braiding relationship
-// (Fig. 19). R-trees index routed net bounds for rip-up victim scans, the
-// first pass's batch regions, and the obstacles verification checks
-// against.
+// (Fig. 19). R-trees index routed net bounds for rip-up victim scans and
+// the obstacles verification checks against.
 //
-// The hot path is organized around three compounding optimizations:
-// bidirectional A* for single-start/single-target nets (search.go), a
-// conflict-graph batched first pass that colors the net-region overlap
-// graph and searches each independent set concurrently (schedule in
-// firstPass/colorBatches), and an incrementally maintained R-tree over
-// routed net bounds so rip-up victim scans never rebuild an index or walk
-// every route. Routing is deterministic for a fixed input: see
-// ARCHITECTURE.md's "Routing" section for the contracts.
+// The hot path is organized around two compounding optimizations:
+// bidirectional A* for single-start/single-target nets (search.go), and an
+// incrementally maintained R-tree over routed net bounds so rip-up victim
+// scans never rebuild an index or walk every route. Routing is
+// deterministic for a fixed input: see ARCHITECTURE.md's "Routing" section
+// for the contracts.
 package route
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,17 +62,8 @@ type Options struct {
 	Fallback bool
 	// FailNet, when non-nil, forces the listed nets to fail their normal
 	// routing attempts (fault injection for degradation tests). Fallback
-	// rescue attempts are not affected. Unless Serial is set, FailNet may
-	// be called from concurrent first-pass searches and must be safe for
-	// concurrent use.
+	// rescue attempts are not affected.
 	FailNet func(id int) bool
-	// Serial disables the concurrent first pass: every net is searched on
-	// the calling goroutine even when search regions allow batching. The
-	// batched pass only co-schedules nets whose search regions are
-	// pairwise disjoint and commits every conflicting net before a later
-	// net searches, so it is exactly equivalent to the serial pass;
-	// Serial exists for debugging and for benchmarking the difference.
-	Serial bool
 	// Clock, when non-nil, samples a monotonic elapsed time (typically
 	// time.Since of a fixed origin, injected by the caller so this
 	// package stays free of wall-clock reads) and enables the
@@ -114,9 +101,7 @@ type FailedNet struct {
 // the counters are always collected and are deterministic for a fixed
 // input and options.
 type RoutingStats struct {
-	// Search is the time spent in A* searches: concurrent first-pass
-	// batches are charged their wall-clock time, serial searches their
-	// individual time.
+	// Search is the time spent in A* searches.
 	Search time.Duration
 	// Commit is the time spent committing paths: recording routes,
 	// claiming grid cells and maintaining the net R-tree.
@@ -216,7 +201,7 @@ type router struct {
 	inFallback bool
 	// shove marks a shove-rescue search: the A* kernels may cross other
 	// nets' committed cells at shovePenalty each (see shoveRescue). Only
-	// toggled in the serial degrade phase, never during batched searches.
+	// toggled in the degrade phase.
 	shove bool
 
 	// grid holds the per-cell world state — rasterized static obstacles,
@@ -445,11 +430,10 @@ func (r *router) homePin(pid int, pos geom.Point, staticCells map[geom.Point]boo
 }
 
 // route performs the iterative routing with rip-up and reroute: a first
-// pass over all nets in non-decreasing pin-distance order (batched by the
-// conflict graph unless Serial), a bounded negotiation loop that widens
-// failed nets' regions and rips up blocking victims while charging
-// congestion history, anchoring repair, and finally the degradation path
-// for anything left.
+// pass over all nets in non-decreasing pin-distance order, a bounded
+// negotiation loop that widens failed nets' regions and rips up blocking
+// victims while charging congestion history, anchoring repair, and
+// finally the degradation path for anything left.
 func (r *router) route() {
 	// First iteration: all nets, sorted by non-decreasing Manhattan
 	// distance.
@@ -542,116 +526,26 @@ func (r *router) route() {
 	r.degrade(exhausted, attempts, margin)
 }
 
-// firstPass routes every net once, in the given order, and returns the
-// indices of the nets that failed, in order. With Options.Serial every
-// net is searched and committed on the calling goroutine. Otherwise the
-// pass partitions the order into conflict-graph batches (colorBatches):
-// each batch's nets have pairwise-disjoint search regions and every
-// earlier-order net with an overlapping region sits in an earlier batch,
-// so by the time a batch searches concurrently, exactly the same routes
-// are committed as before each member's serial search — a committed path
-// never leaves its net's search region, and friend nets always share a
-// pin cell (hence overlapping regions, hence an earlier batch). Batch
-// results commit serially in order and failures are re-sorted to the
-// serial failure order, so the outcome is exactly the serial pass's.
+// firstPass routes every net once, in the given order, committing each
+// path before the next net searches, and returns the indices of the nets
+// that failed, in order.
 func (r *router) firstPass(order []int, margin []int) (failed []int) {
-	if r.opts.Serial {
-		for _, idx := range order {
-			if r.checkCtx() {
-				return failed
-			}
-			t0 := r.tick()
-			path := r.searchNet(r.nets[idx], margin[idx])
-			r.result.Stats.Search += r.tick() - t0
-			r.result.Stats.Searches++
-			if path != nil {
-				r.commit(r.nets[idx], path)
-				r.result.FirstPassRouted++
-			} else {
-				failed = append(failed, idx)
-			}
-		}
-		return failed
-	}
-	pos := make([]int, len(r.nets)) // net index -> order position
-	for oi, idx := range order {
-		pos[idx] = oi
-	}
-	for _, batch := range r.colorBatches(order, margin) {
+	for _, idx := range order {
 		if r.checkCtx() {
-			break
+			return failed
 		}
-		// Warm the endpoint caches serially: the concurrent searches
-		// below then only read them.
-		for _, idx := range batch {
-			r.endpointsFor(r.nets[idx])
-		}
-		paths := make([]geom.Path, len(batch))
 		t0 := r.tick()
-		if len(batch) == 1 {
-			paths[0] = r.searchNet(r.nets[batch[0]], margin[batch[0]])
-		} else {
-			var wg sync.WaitGroup
-			for bi, idx := range batch {
-				wg.Add(1)
-				go func(bi, idx int) {
-					defer wg.Done()
-					paths[bi] = r.searchNet(r.nets[idx], margin[idx])
-				}(bi, idx)
-			}
-			wg.Wait()
-		}
+		path := r.searchNet(r.nets[idx], margin[idx])
 		r.result.Stats.Search += r.tick() - t0
-		r.result.Stats.Searches += len(batch)
-		for bi, idx := range batch {
-			if paths[bi] != nil {
-				r.commit(r.nets[idx], paths[bi])
-				r.result.FirstPassRouted++
-			} else {
-				failed = append(failed, idx)
-			}
+		r.result.Stats.Searches++
+		if path != nil {
+			r.commit(r.nets[idx], path)
+			r.result.FirstPassRouted++
+		} else {
+			failed = append(failed, idx)
 		}
 	}
-	// Batches interleave the order, so restore the serial failure order.
-	sort.Slice(failed, func(i, j int) bool { return pos[failed[i]] < pos[failed[j]] })
 	return failed
-}
-
-// colorBatches partitions order into layered conflict-graph classes: two
-// nets conflict when their search regions intersect, and a net's class is
-// 1 + the maximum class of any EARLIER-order conflicting net (0 with
-// none). Within a class all regions are pairwise disjoint (a same-class
-// earlier conflict would have forced a later class), and every earlier
-// conflicting net lands in a strictly earlier class — the property
-// firstPass needs for serial equivalence. The conflict queries run
-// against an R-tree of all regions built once per pass, replacing the old
-// disjoint-prefix scheme that rebuilt a prefix index per batch and never
-// batched past the first overlap.
-func (r *router) colorBatches(order []int, margin []int) [][]int {
-	boxes := make([]geom.Box, len(order))
-	regions := rtree.New()
-	for oi, idx := range order {
-		boxes[oi] = r.searchRegion(r.nets[idx], margin[idx])
-		regions.Insert(boxes[oi], oi)
-	}
-	color := make([]int, len(order))
-	var batches [][]int
-	var hits []rtree.Entry
-	for oi := range order {
-		c := 0
-		hits = regions.Search(boxes[oi], hits[:0])
-		for _, e := range hits {
-			if e.ID < oi && color[e.ID] >= c {
-				c = color[e.ID] + 1
-			}
-		}
-		color[oi] = c
-		if c == len(batches) {
-			batches = append(batches, nil)
-		}
-		batches[c] = append(batches[c], order[oi])
-	}
-	return batches
 }
 
 // shovePenalty is the extra cost a shove-rescue search pays per foreign
@@ -1024,9 +918,7 @@ func (r *router) repairDangling(margin []int) []int {
 
 // endpointsFor returns net n's cached endpoint sets, rebuilding them only
 // when a commit or uncommit of a net incident to either pin bumped the
-// pin's revision since the last build. During a concurrent first-pass
-// batch the caches of all batch members are warmed beforehand, so this is
-// a read-only lookup from the search goroutines.
+// pin's revision since the last build.
 func (r *router) endpointsFor(n bridge.Net) *netEndpoints {
 	ep := &r.eps[n.ID]
 	ra, rb := r.pinRev[n.PinA], r.pinRev[n.PinB]
@@ -1109,10 +1001,7 @@ func (r *router) tryRoute(n bridge.Net, margin int) bool {
 }
 
 // searchNet finds a path for one net within its current search region
-// without committing it. Aside from a possible endpoint-cache fill (which
-// the batched scheduler performs up front), it mutates no router state,
-// so independent nets may search concurrently; the caller must not have
-// routed n already.
+// without committing it; the caller must not have routed n already.
 func (r *router) searchNet(n bridge.Net, margin int) geom.Path {
 	// Fault injection: force this net's normal attempts to fail so
 	// degradation paths can be exercised under test. The fallback rescue
@@ -1146,14 +1035,6 @@ func (r *router) commit(n bridge.Net, path geom.Path) {
 	r.pinRev[n.PinB]++
 	r.result.Stats.Commit += r.tick() - t0
 	r.result.Stats.Commits++
-}
-
-// searchCanceled polls the context without caching the error; unlike
-// checkCtx it writes no router state, so concurrent searches may call it.
-// The serial phases rediscover the cancellation through checkCtx at the
-// next loop boundary.
-func (r *router) searchCanceled() bool {
-	return faults.Canceled(r.ctx) != nil
 }
 
 // finish records routes and computes the final bounds. The history

@@ -416,7 +416,6 @@ func TestNegotiationReanchorsFriendTerminals(t *testing.T) {
 	}
 
 	opts := DefaultOptions()
-	opts.Serial = true // FailNet below is stateful, so searches must not race
 	attempts := 0
 	opts.FailNet = func(id int) bool {
 		if id != failTarget {

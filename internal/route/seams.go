@@ -23,13 +23,13 @@ type SeamNet struct {
 
 // RouteSeams routes point-to-point nets through the free space around a
 // set of obstacle boxes using the same negotiated-A* machinery as the
-// placement router (rip-up and re-route, congestion history, conflict-
-// graph batched first pass, degradation fallback). Unlike RunContext it
-// needs no placement: obstacles are given as explicit boxes (the
-// partitioned compiler passes each slab's translated routing bounds) and
-// pins as explicit cells, which must be unique and outside every
-// obstacle — there is no rehoming. base is the extent the result's
-// Bounds must cover even if no route leaves it (the union of all slabs).
+// placement router (rip-up and re-route, congestion history, degradation
+// fallback). Unlike RunContext it needs no placement: obstacles are given
+// as explicit boxes (the partitioned compiler passes each slab's
+// translated routing bounds) and pins as explicit cells, which must be
+// unique and outside every obstacle — there is no rehoming. base is the
+// extent the result's Bounds must cover even if no route leaves it (the
+// union of all slabs).
 //
 // Friend-net deformation is forced off: seam pins are pairwise distinct,
 // so every net is a plain two-terminal route. The result is deterministic

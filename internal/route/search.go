@@ -424,7 +424,7 @@ func (r *router) astarUni(n bridge.Net, starts, targets []geom.Point, tbox geom.
 		if expansions > maxExp {
 			return nil
 		}
-		if expansions%cancelCheckExpansions == 0 && r.searchCanceled() {
+		if expansions%cancelCheckExpansions == 0 && r.checkCtx() {
 			return nil
 		}
 		for _, d := range geom.Dirs6 {
@@ -547,7 +547,7 @@ func (r *router) astarBidi(n bridge.Net, start, target geom.Point, region geom.B
 		if expansions > maxExp {
 			return nil
 		}
-		if expansions%cancelCheckExpansions == 0 && r.searchCanceled() {
+		if expansions%cancelCheckExpansions == 0 && r.checkCtx() {
 			return nil
 		}
 		// The backward cost model charges the cell being left (it is the

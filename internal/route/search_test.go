@@ -167,55 +167,6 @@ func TestBidiUniEquivalenceSparse(t *testing.T) {
 	}
 }
 
-// TestColorBatchesConflictFree pins the two properties firstPass's serial
-// equivalence rests on: no two nets whose search regions intersect share a
-// batch, and every earlier-order conflicting net sits in a strictly
-// earlier batch.
-func TestColorBatchesConflictFree(t *testing.T) {
-	pl := routeFixture(t)
-	r := newTestRouter(t, pl, DefaultOptions())
-	order := make([]int, len(r.nets))
-	for i := range order {
-		order[i] = i
-	}
-	margin := make([]int, len(r.nets))
-	for i := range margin {
-		margin[i] = initialMargin
-	}
-	batches := r.colorBatches(order, margin)
-
-	batchOf := map[int]int{}
-	total := 0
-	for b, batch := range batches {
-		total += len(batch)
-		for _, idx := range batch {
-			batchOf[idx] = b
-		}
-	}
-	if total != len(order) {
-		t.Fatalf("batches hold %d nets, want %d", total, len(order))
-	}
-	regions := make([]geom.Box, len(order))
-	for oi, idx := range order {
-		regions[oi] = r.searchRegion(r.nets[idx], margin[idx])
-	}
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			if !regions[i].Intersects(regions[j]) {
-				continue
-			}
-			bi, bj := batchOf[order[i]], batchOf[order[j]]
-			if bi == bj {
-				t.Fatalf("conflicting nets %d and %d share batch %d", order[i], order[j], bi)
-			}
-			if bi >= bj {
-				t.Fatalf("earlier conflicting net %d in batch %d, later net %d in batch %d",
-					order[i], bi, order[j], bj)
-			}
-		}
-	}
-}
-
 // TestEndpointCacheReuse is the sortedStarts regression test: unchanged
 // endpoints must not be re-collected (and re-sorted) across search
 // attempts, and a commit on an incident pin must invalidate exactly the

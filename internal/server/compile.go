@@ -201,7 +201,7 @@ type CompileResponse struct {
 	CompressionRatio float64 `json:"compression_ratio"`
 	// Degraded reports graceful routing degradation.
 	Degraded bool `json:"degraded"`
-	// PlacementAttempts counts SA placements (1 + retries).
+	// PlacementAttempts counts SA placements: always 1.
 	PlacementAttempts int `json:"placement_attempts"`
 	// ICM summarizes the ICM conversion.
 	ICM ICMBody `json:"icm"`
@@ -347,7 +347,8 @@ type PartitionedResponse struct {
 	CompressionRatio float64 `json:"compression_ratio"`
 	// Degraded reports degraded routing in any part or the stitching.
 	Degraded bool `json:"degraded"`
-	// PlacementAttempts sums the parts' SA placements.
+	// PlacementAttempts sums the parts' SA placements, one per part that
+	// had anything to lay out.
 	PlacementAttempts int `json:"placement_attempts"`
 	// Partition summarizes the qubit cut.
 	Partition PartitionBody `json:"partition"`
@@ -502,7 +503,7 @@ var (
 // compileError maps a pipeline or queueing error onto the structured wire
 // error: stage tag from StageError, sentinel from the faults taxonomy, and
 // an HTTP status (429 overload, 503 draining, 504 deadline, 422
-// unsatisfiable, 500 internal).
+// unsatisfiable or empty, 500 internal).
 func compileError(err error) *apiError {
 	ae := &apiError{Status: 500, Body: ErrorBody{Message: err.Error()}}
 	if se, ok := tqec.AsStageError(err); ok {
@@ -526,6 +527,9 @@ func compileError(err error) *apiError {
 	case errors.Is(err, faults.ErrPlacementInvalid):
 		ae.Status = 422
 		ae.Body.Sentinel = "placement_invalid"
+	case errors.Is(err, faults.ErrEmpty):
+		ae.Status = 422
+		ae.Body.Sentinel = "empty"
 	case errors.Is(err, faults.ErrPanic):
 		ae.Body.Sentinel = "panic"
 	case errors.Is(err, faults.ErrInvariant):

@@ -227,6 +227,29 @@ func TestCompileDeadlineError(t *testing.T) {
 	}
 }
 
+// TestIdentityCircuitIsEmpty pins one answer for a circuit that reduces to
+// nothing (six NOTs that cancel pairwise), whole or partitioned: 422 with
+// sentinel empty from the placement stage, never a 500 or a made-up volume.
+func TestIdentityCircuitIsEmpty(t *testing.T) {
+	const identity = ".version 1.0\n.numvars 5\n.variables a b c d e\n.begin\n" +
+		"t1 a\nt1 b\nt1 a\nt1 c\nt1 b\nt1 c\n.end\n"
+	s := startServer(t, testConfig())
+	for _, qubits := range []int{0, 3} {
+		w := post(s, "/v1/compile", compileBody(t, identity, "identity",
+			CompileOptions{Seed: 1, Iterations: 2000, PartitionQubits: qubits}))
+		if w.Code != 422 {
+			t.Fatalf("partition_qubits %d: status %d, want 422 (body %s)", qubits, w.Code, w.Body)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
+			t.Fatal(err)
+		}
+		if er.Error.Stage != string(tqec.StagePlacement) || er.Error.Sentinel != "empty" {
+			t.Fatalf("partition_qubits %d: error body %+v, want stage placement and sentinel empty", qubits, er.Error)
+		}
+	}
+}
+
 func TestJobsLifecycle(t *testing.T) {
 	s := startServer(t, testConfig())
 	body := compileBody(t, realSrc, "fig4", CompileOptions{Seed: 3, Iterations: 2000})

@@ -17,16 +17,14 @@ const cacheKeyVersion = 7
 
 // CanonicalOptions returns a copy of opts normalized for content
 // addressing: non-semantic fields are cleared (Hooks callbacks, the
-// route fault-injection hook, the stage-timing Clock, the Serial
-// debugging toggle, which is provably equivalent to the batched pass) and
-// values the pipeline resolves — the unbridged routing resource, the
-// chain count, a pass-through partition — are resolved the same way, so
-// two Options values that compile identically canonicalize, and therefore
-// hash, identically.
+// route fault-injection hook, the stage-timing Clock) and values the
+// pipeline resolves — the unbridged routing resource, the chain count, a
+// pass-through partition — are resolved the same way, so two Options
+// values that compile identically canonicalize, and therefore hash,
+// identically.
 func CanonicalOptions(opts Options) Options {
 	opts.Hooks = Hooks{}
 	opts.Route.FailNet = nil
-	opts.Route.Serial = false
 	opts.Route.Clock = nil
 	opts = withRoutingResource(opts)
 	// Chains 0 resolves to a CPU-dependent count, and the chain count

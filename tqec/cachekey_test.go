@@ -123,7 +123,7 @@ func TestCacheKeyResolvesChains(t *testing.T) {
 }
 
 // TestCacheKeyCanonicalization checks that non-semantic differences hash
-// identically: hooks, fault-injection callbacks and the Serial toggle.
+// identically: hooks and fault-injection callbacks.
 func TestCacheKeyCanonicalization(t *testing.T) {
 	base := DefaultOptions()
 	baseKey := keyFor(t, testCircuit(), base)
@@ -131,7 +131,6 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	hooked := base
 	hooked.Hooks.BeforeStage = func(Stage) error { return nil }
 	hooked.Route.FailNet = func(int) bool { return false }
-	hooked.Route.Serial = true
 	if keyFor(t, testCircuit(), hooked) != baseKey {
 		t.Error("non-semantic fields changed the key")
 	}

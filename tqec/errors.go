@@ -30,7 +30,7 @@ var (
 	// ErrUnroutable marks nets that exhausted every routing strategy.
 	ErrUnroutable = faults.ErrUnroutable
 	// ErrPlacementInvalid marks a placement failing structural
-	// validation after all retry attempts.
+	// validation.
 	ErrPlacementInvalid = faults.ErrPlacementInvalid
 	// ErrDegraded marks a result produced under graceful degradation.
 	ErrDegraded = faults.ErrDegraded

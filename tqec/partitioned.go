@@ -28,8 +28,8 @@ type PartitionedResult struct {
 	// Partition is the qubit-interaction-graph cut.
 	Partition *partition.Result
 	// Parts holds each sub-circuit's compilation, aligned with
-	// Partition.Parts. A part with no gates (its qubits interact only
-	// across seams) has a nil entry and occupies a unit slab.
+	// Partition.Parts. A part with nothing to lay out (no gates, or gates
+	// that all cancel) has a nil entry and occupies a unit slab.
 	Parts []*Result
 	// Slabs are the parts' routing bounds translated into disjoint
 	// time-axis slabs (slab i starts where slab i-1 ended plus slabGap),
@@ -51,7 +51,8 @@ type PartitionedResult struct {
 	// belong to no part, so the sums exclude their canonical slots).
 	CanonicalVolume int
 	BoxVolume       int
-	// PlacementAttempts sums the parts' SA attempts.
+	// PlacementAttempts sums the parts' PlacementAttempts, each always 1,
+	// so it counts the parts that ran a placement.
 	PlacementAttempts int
 	// Degraded reports degraded routing in any part or in the seam
 	// stitching.
@@ -114,32 +115,29 @@ func CompilePartitionedContext(ctx context.Context, c *qc.Circuit, opts Options)
 		return pres, nil
 	}
 
-	// Compile every non-empty part concurrently. Each part runs the full
-	// pipeline with the same option set (the partitioner cleared), so a
-	// part compiles exactly as it would standalone.
+	// Compile every part concurrently. Each part runs the full pipeline
+	// with the same option set (the partitioner cleared), so a part
+	// compiles exactly as it would standalone.
 	pres.Parts = make([]*Result, len(pres.Partition.Parts))
 	errs := make([]error, len(pres.Partition.Parts))
 	var wg sync.WaitGroup
 	for i := range pres.Partition.Parts {
-		pc := pres.Partition.Parts[i].Circuit
-		if pc.NumGates() == 0 {
-			continue // seam-only part; gets a unit slab below
-		}
 		wg.Add(1)
 		go func(i int, pc *qc.Circuit) {
 			defer wg.Done()
 			pres.Parts[i], errs[i] = CompileContext(ctx, pc, partOpts)
-			if errors.Is(errs[i], faults.ErrEmpty) {
-				// The part's gates all canceled during rewriting (e.g. a
-				// self-inverse CNOT pair isolated by the cut): it
-				// occupies no volume, like a part that started gateless.
-				pres.Parts[i], errs[i] = nil, nil
-			}
-		}(i, pc)
+		}(i, pres.Partition.Parts[i].Circuit)
 	}
 	wg.Wait()
+	var empty error
 	for i, err := range errs {
-		if err != nil {
+		if errors.Is(err, faults.ErrEmpty) {
+			// The part has nothing to lay out: it has no gates (its qubits
+			// interact only across seams), or they all canceled during
+			// rewriting (e.g. a self-inverse CNOT pair isolated by the
+			// cut). It occupies no volume and gets a unit slab.
+			empty = err
+		} else if err != nil {
 			return nil, fmt.Errorf("tqec: part %d: %w", i, err)
 		}
 	}
@@ -152,6 +150,12 @@ func CompilePartitionedContext(ctx context.Context, c *qc.Circuit, opts Options)
 		pres.PlacementAttempts += part.PlacementAttempts
 		pres.Degraded = pres.Degraded || part.Degraded
 		mergeBreakdown(pres.Breakdown, part.Breakdown)
+	}
+	if pres.PlacementAttempts == 0 && len(pres.Partition.Seams) == 0 && empty != nil {
+		// No part has anything to lay out and no seam joins them, so the
+		// circuit as a whole is empty: fail as the pass-through compile
+		// of it does, instead of stitching placeholder slabs.
+		return nil, empty
 	}
 
 	err = runStage(pres.Breakdown, metrics.StageStitch, StageStitch, opts.Hooks, func() error {

@@ -23,10 +23,10 @@
 // that failed; errors.Is against the sentinel taxonomy (ErrCanceled,
 // ErrUnroutable, ErrPlacementInvalid, ErrDegraded, ErrPanic) classifies
 // the cause. Residual panics anywhere in a stage are recovered and
-// converted into a StageError carrying the goroutine stack. Placement
-// validation failures are retried with derived seeds and an escalated SA
-// budget; routing failures degrade gracefully into per-net diagnostics and
-// an optional whole-world fallback route (Result.Degraded,
+// converted into a StageError carrying the goroutine stack. A placement
+// that fails validation fails the compile with ErrPlacementInvalid;
+// routing failures degrade gracefully into per-net diagnostics and an
+// optional whole-world fallback route (Result.Degraded,
 // Routing.FailedNets) instead of aborting compilation.
 package tqec
 
@@ -158,14 +158,15 @@ type Result struct {
 	// Vol_|A⟩ of Table I), used when comparing against baselines that do
 	// not integrate boxes.
 	BoxVolume int
-	// PlacementAttempts is how many SA placements ran (1 + retries).
+	// PlacementAttempts is how many SA placements ran: always 1, since a
+	// placement that fails validation fails the compile.
 	PlacementAttempts int
 	// Degraded reports that routing fell back to degraded operation:
 	// some nets needed the whole-world fallback router or remain
 	// unrouted (see Routing.FailedNets for per-net diagnostics).
 	Degraded bool
 	// Breakdown is the per-stage wall-clock breakdown (Table VI), plus
-	// fault-tolerance event counters (retries, fallbacks, panics).
+	// fault-tolerance event counters (fallbacks, panics).
 	Breakdown *metrics.Breakdown
 }
 
@@ -330,7 +331,18 @@ func compileFrom(ctx context.Context, res *Result, opts Options) (*Result, error
 			return err
 		}
 		res.Clustering = cl
-		return res.placeWithRetry(ctx, cl, opts)
+		pl, err := place.RunContext(ctx, cl, res.Bridging.Nets, opts.Place)
+		if err != nil {
+			return err
+		}
+		res.Placement, res.PlacementAttempts = pl, 1
+		if err := pl.CheckNoOverlap(); err != nil {
+			return fmt.Errorf("%w: %w", faults.ErrPlacementInvalid, err)
+		}
+		if err := pl.CheckTimeOrdering(); err != nil {
+			return fmt.Errorf("%w: %w", faults.ErrPlacementInvalid, err)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -388,48 +400,6 @@ func tallyRouting(b *metrics.Breakdown, r *route.Result, strict bool, nets strin
 func boxDims(b geom.Box) (metrics.Dims, int) {
 	d := metrics.Dims{W: b.Dy(), H: b.Dz(), D: b.Dx()}
 	return d, d.Volume()
-}
-
-// placeWithRetry runs SA placement, re-validating the result and retrying
-// with a derived seed and an escalated iteration budget when validation
-// fails. Hard errors (cancellation, recovered restart panics) are not
-// retried.
-func (res *Result) placeWithRetry(ctx context.Context, cl *cluster.Clustering, opts Options) error {
-	// placeAttempts counts every attempt, the first included; attempt k
-	// runs with base·placeEscalation^k SA moves.
-	const (
-		placeAttempts           = 3
-		placeEscalation float64 = 2
-	)
-	popts := opts.Place
-	budget := popts.EffectiveIterations(len(cl.Supers))
-	var lastErr error
-	for attempt := 0; attempt < placeAttempts; attempt++ {
-		if attempt > 0 {
-			// Derived seed + escalated budget: a fresh SA trajectory
-			// with more moves, reproducible from the original seed.
-			popts.Seed = opts.Place.Seed + 1000003*int64(attempt)
-			budget = int(float64(budget) * placeEscalation)
-			popts.Iterations = budget
-			res.Breakdown.Count(metrics.CounterPlacementRetries, 1)
-		}
-		pl, err := place.RunContext(ctx, cl, res.Bridging.Nets, popts)
-		if err != nil {
-			return err
-		}
-		res.Placement = pl
-		res.PlacementAttempts = attempt + 1
-		if err := pl.CheckNoOverlap(); err != nil {
-			lastErr = err
-			continue
-		}
-		if err := pl.CheckTimeOrdering(); err != nil {
-			lastErr = err
-			continue
-		}
-		return nil
-	}
-	return fmt.Errorf("%w after %d attempt(s): %w", faults.ErrPlacementInvalid, placeAttempts, lastErr)
 }
 
 // CompileBenchmark generates one of the paper's RevLib benchmarks and
