@@ -406,6 +406,17 @@ func TestCompilePipelineIgnoresCPUCount(t *testing.T) {
 	}
 }
 
+// TestKernelPlaceOptionsPinOneChain pins that the place/sa-anneal kernel
+// anneals one chain on a multi-CPU machine, as the committed kernel row
+// was measured at GOMAXPROCS 1: the default Chains 0 would resolve to
+// min(GOMAXPROCS, 4) chains.
+func TestKernelPlaceOptionsPinOneChain(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if got := kernelPlaceOptions(1).EffectiveChains(); got != 1 {
+		t.Fatalf("kernel anneals %d chains at GOMAXPROCS 4, want 1", got)
+	}
+}
+
 // TestCompareReportsMissingMetrics pins that dropped coverage is
 // surfaced instead of silently passing.
 func TestCompareReportsMissingMetrics(t *testing.T) {

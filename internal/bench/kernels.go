@@ -27,6 +27,17 @@ const kernelBenchmark = "4gt10-v1_81"
 // kernel so testing.Benchmark's calibration loop converges quickly.
 const kernelPlaceIterations = 2000
 
+// kernelPlaceOptions configures the placement kernel: the paper's
+// parameters with a bounded move budget and one SA chain, so the kernel
+// measures the same work on every CPU count, as compilePipeline does.
+func kernelPlaceOptions(seed int64) place.Options {
+	po := place.DefaultOptions()
+	po.Seed = seed
+	po.Iterations = kernelPlaceIterations
+	po.Chains = 1
+	return po
+}
+
 // runKernels measures the placement and routing kernels in isolation
 // with testing.Benchmark. The pipeline prefix (decompose through
 // clustering) is built once and shared; each kernel re-runs only its own
@@ -83,9 +94,7 @@ func runKernels(ctx context.Context, opts Options) ([]Kernel, error) {
 		return nil, err
 	}
 
-	po := place.DefaultOptions()
-	po.Seed = opts.Seed
-	po.Iterations = kernelPlaceIterations
+	po := kernelPlaceOptions(opts.Seed)
 	var placeErr error
 	placeRes := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

@@ -35,6 +35,9 @@ type Tree struct {
 	free []int
 	// lastInsert remembers the node allocated by the latest Insert.
 	lastInsert int
+	// horizon is Pack's contour scratch, kept so repacking allocates
+	// nothing once it has grown to the tree's widest packing.
+	horizon []int
 }
 
 // NewTree builds a tree over the given blocks (by index into blocks),
@@ -69,77 +72,78 @@ func NewTree(blocks []*Block, members []int) *Tree {
 // Len returns the number of packed blocks.
 func (t *Tree) Len() int { return len(t.nodes) - len(t.free) }
 
-// Blocks returns the block indices currently in the tree.
+// Blocks returns the block indices currently in the tree, in pre-order.
 func (t *Tree) Blocks() []int {
 	var out []int
-	t.walk(t.root, func(n int) { out = append(out, t.nodes[n].block) })
+	for n := t.root; n >= 0; n = t.next(n) {
+		out = append(out, t.nodes[n].block)
+	}
 	return out
 }
 
-func (t *Tree) walk(n int, f func(int)) {
-	if n < 0 {
-		return
+// next returns the pre-order (node, left subtree, right subtree)
+// successor of live node n, or -1 after the last node.
+func (t *Tree) next(n int) int {
+	if l := t.nodes[n].left; l >= 0 {
+		return l
 	}
-	f(n)
-	t.walk(t.nodes[n].left, f)
-	t.walk(t.nodes[n].right, f)
+	if r := t.nodes[n].right; r >= 0 {
+		return r
+	}
+	for p := t.nodes[n].parent; p >= 0; n, p = p, t.nodes[p].parent {
+		if t.nodes[p].left == n && t.nodes[p].right >= 0 {
+			return t.nodes[p].right
+		}
+	}
+	return -1
 }
 
 // Pack computes X/Y for every block in the tree and returns the bounding
-// extents (W along x, H along y). An empty tree packs to (0, 0).
+// extents (W along x, H along y). An empty tree packs to (0, 0). Blocks
+// are placed in pre-order, so a parent is placed before its children: a
+// left child starts at its parent's right edge, a right child at its
+// parent's x, and each sits on the horizon over its x span.
 func (t *Tree) Pack() (w, h int) {
-	if t.root < 0 {
-		return 0, 0
-	}
-	horizon := make([]int, 0, 64)
-	maxAt := func(x0, x1 int) int {
-		m := 0
-		for x := x0; x < x1 && x < len(horizon); x++ {
-			if horizon[x] > m {
-				m = horizon[x]
+	horizon := t.horizon[:0]
+	for n := t.root; n >= 0; n = t.next(n) {
+		x := 0
+		if p := t.nodes[n].parent; p >= 0 {
+			pb := t.blocks[t.nodes[p].block]
+			x = pb.X
+			if t.nodes[p].left == n {
+				x += pb.W
 			}
 		}
-		return m
-	}
-	raise := func(x0, x1, y int) {
+		b := t.blocks[t.nodes[n].block]
+		x1 := x + b.W
+		y := 0
+		for i := x; i < x1 && i < len(horizon); i++ {
+			y = max(y, horizon[i])
+		}
 		for len(horizon) < x1 {
 			horizon = append(horizon, 0)
 		}
-		for x := x0; x < x1; x++ {
-			horizon[x] = y
+		for i := x; i < x1; i++ {
+			horizon[i] = y + b.H
 		}
-	}
-	var place func(n, x int)
-	place = func(n, x int) {
-		b := t.blocks[t.nodes[n].block]
-		y := maxAt(x, x+b.W)
 		b.X, b.Y = x, y
-		raise(x, x+b.W, y+b.H)
-		if b.X+b.W > w {
-			w = b.X + b.W
-		}
-		if y+b.H > h {
-			h = y + b.H
-		}
-		if l := t.nodes[n].left; l >= 0 {
-			place(l, x+b.W)
-		}
-		if r := t.nodes[n].right; r >= 0 {
-			place(r, x)
-		}
+		w, h = max(w, x1), max(h, y+b.H)
 	}
-	place(t.root, 0)
+	t.horizon = horizon
 	return w, h
 }
 
-// RandomNode returns a uniformly random live node index, or -1 if empty.
+// RandomNode returns a uniformly random live node index, or -1 if empty:
+// it draws k = rng.Intn(Len()) and returns the k-th node in pre-order.
 func (t *Tree) RandomNode(rng *rand.Rand) int {
 	if t.Len() == 0 {
 		return -1
 	}
-	var live []int
-	t.walk(t.root, func(n int) { live = append(live, n) })
-	return live[rng.Intn(len(live))]
+	n := t.root
+	for k := rng.Intn(t.Len()); k > 0; k-- {
+		n = t.next(n)
+	}
+	return n
 }
 
 // BlockAt returns the block index stored at node n.
@@ -246,6 +250,16 @@ func (t *Tree) CloneInto(blocks []*Block) *Tree {
 		root:   t.root,
 		free:   append([]int(nil), t.free...),
 	}
+}
+
+// CopyFrom overwrites t's topology with o's, keeping t's block storage
+// and reusing t's node and free-list capacity: a caller that saves a tree
+// before every perturbation allocates nothing once the copy has grown to
+// the largest tree it holds.
+func (t *Tree) CopyFrom(o *Tree) {
+	t.nodes = append(t.nodes[:0], o.nodes...)
+	t.root = o.root
+	t.free = append(t.free[:0], o.free...)
 }
 
 // Validate checks tree structure invariants (parent/child symmetry, single

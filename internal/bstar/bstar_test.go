@@ -2,6 +2,7 @@ package bstar
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -193,6 +194,82 @@ func TestBlocksListsMembers(t *testing.T) {
 	}
 	if !got[0] || !got[1] || !got[2] {
 		t.Fatalf("blocks: %v", tr.Blocks())
+	}
+}
+
+// preorder lists t's live nodes by recursive pre-order (node, left
+// subtree, right subtree): the reference the parent-link walk must match.
+func preorder(t *Tree, n int, out []int) []int {
+	if n < 0 {
+		return out
+	}
+	out = append(out, n)
+	out = preorder(t, t.nodes[n].left, out)
+	return preorder(t, t.nodes[n].right, out)
+}
+
+// TestRandomNodeIsKthPreorder pins RandomNode's draw: on trees reshaped by
+// random moves it returns the k-th node of the recursive pre-order for
+// k = rng.Intn(Len()), so the same seed picks the same node as indexing a
+// materialized pre-order list would.
+func TestRandomNodeIsKthPreorder(t *testing.T) {
+	var blocks []*Block
+	for i := 0; i < 17; i++ {
+		blocks = append(blocks, &Block{W: 1 + i%5, H: 1 + i%3})
+	}
+	tr := NewTree(blocks, allIdx(len(blocks)))
+	shape := rand.New(rand.NewSource(11))
+	for step := 0; step < 300; step++ {
+		b := tr.Remove(tr.RandomNode(shape))
+		if err := tr.Insert(b, tr.RandomNode(shape), shape.Intn(2) == 0); err != nil {
+			t.Fatal(err)
+		}
+		order := preorder(tr, tr.root, nil)
+		if len(order) != tr.Len() {
+			t.Fatalf("step %d: pre-order has %d nodes, Len %d", step, len(order), tr.Len())
+		}
+		seed := int64(step)
+		got := tr.RandomNode(rand.New(rand.NewSource(seed)))
+		if want := order[rand.New(rand.NewSource(seed)).Intn(len(order))]; got != want {
+			t.Fatalf("step %d: RandomNode = %d, want pre-order pick %d", step, got, want)
+		}
+		var want []int
+		for _, n := range order {
+			want = append(want, tr.nodes[n].block)
+		}
+		if got := tr.Blocks(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: Blocks = %v, want pre-order %v", step, got, want)
+		}
+	}
+}
+
+// TestCopyFromRestoresTopology pins the undo contract CopyFrom serves: a
+// copy taken before a move packs exactly like the tree did before it,
+// stays independent of the source, and keeps its own block binding.
+func TestCopyFromRestoresTopology(t *testing.T) {
+	blocks := mkBlocks([2]int{2, 2}, [2]int{3, 1}, [2]int{1, 4}, [2]int{2, 3}, [2]int{4, 1})
+	tr := NewTree(blocks, allIdx(len(blocks)))
+	w0, h0 := tr.Pack()
+	spare := NewTree(blocks, nil)
+	spare.CopyFrom(tr)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 10; i++ {
+		b := tr.Remove(tr.RandomNode(rng))
+		if err := tr.Insert(b, tr.RandomNode(rng), rng.Intn(2) == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := spare.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if w, h := spare.Pack(); w != w0 || h != h0 {
+		t.Fatalf("copy packs %d×%d, the tree packed %d×%d before the moves", w, h, w0, h0)
+	}
+	other := mkBlocks([2]int{1, 1}, [2]int{1, 1}, [2]int{1, 1}, [2]int{1, 1}, [2]int{1, 1})
+	rebound := NewTree(other, nil)
+	rebound.CopyFrom(tr)
+	if w, h := rebound.Pack(); w > len(other) || h > len(other) {
+		t.Fatalf("copy packed the source's blocks (%d×%d), not its own unit blocks", w, h)
 	}
 }
 

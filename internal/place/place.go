@@ -14,16 +14,20 @@
 // positions after every perturbation so T-gate measurements stay in
 // program order along the time axis.
 //
-// For efficiency the engine packs only the tiers touched by a
-// perturbation, keeps per-tier extents cached, and undoes rejected moves
-// by restoring just the affected trees.
+// Φ is recomputed in full after every perturbation, so the engine keeps
+// that cheap: it repacks only the tiers a move touched, keeps per-tier
+// extents cached, and runs a move, its cost evaluation and its undo
+// without allocating — positions, TSL sorts and the saved copies of
+// perturbed trees live in buffers the engine reuses.
 package place
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/bridge"
@@ -148,15 +152,20 @@ type engine struct {
 	trees  []*bstar.Tree
 	tierOf []int
 
-	// Cached per-tier pack extents; dirty tiers are repacked lazily.
-	tierW, tierH []int
+	// Cached per-tier pack extents; a move repacks only the tiers it
+	// touched. savedW/savedH hold them across a move so a rejection
+	// restores them.
+	tierW, tierH   []int
+	savedW, savedH []int
 
-	// pinSuper/pinLocal approximate each net pin by its module center
-	// within its super-module.
-	pinSuper map[int]int
-	pinLocal map[int]geom.Point
-	// netList is the dense (superA, localA, superB, localB) view of nets.
+	// netList is the dense view of nets for the wirelength sum.
 	netList []netRef
+	// pos is the buffer positions fills; tslPos is reallocateTSLs' sort
+	// scratch.
+	pos, tslPos []geom.Point
+	// spare holds private copies of the trees a subtree move perturbs; a
+	// rejected move is undone by swapping them back in.
+	spare [2]*bstar.Tree
 
 	pitch        int
 	vnorm, lnorm float64
@@ -167,15 +176,17 @@ type engine struct {
 	bestCost   float64
 }
 
+// netRef approximates a net by its two pins' module centers: pin A sits
+// at la inside super sa and pin B at lb inside super sb, and d = la − lb,
+// so the net's Manhattan length is |pos[sa] + d − pos[sb]|.
 type netRef struct {
 	sa, sb int
-	la, lb geom.Point
+	d      geom.Point
 }
 
 // EffectiveIterations returns the SA move budget Run will use for n blocks:
 // the configured budget, or the automatic 200-moves-per-block rule when
-// Iterations is 0. Retry escalation uses it to grow the budget from the
-// auto-derived baseline.
+// Iterations is 0.
 func (o Options) EffectiveIterations(n int) int {
 	if o.Iterations > 0 {
 		return o.Iterations
@@ -193,13 +204,11 @@ func newEngine(cl *cluster.Clustering, nets []bridge.Net, opts Options) (*engine
 		pitch = DefaultTierPitch
 	}
 	e := &engine{
-		cl:       cl,
-		nets:     nets,
-		opts:     opts,
-		rng:      rand.New(rand.NewSource(opts.Seed)),
-		pinSuper: map[int]int{},
-		pinLocal: map[int]geom.Point{},
-		pitch:    pitch,
+		cl:    cl,
+		nets:  nets,
+		opts:  opts,
+		rng:   rand.New(rand.NewSource(opts.Seed)),
+		pitch: pitch,
 	}
 	e.resizeTSLs()
 	e.buildBlocks()
@@ -207,6 +216,10 @@ func newEngine(cl *cluster.Clustering, nets []bridge.Net, opts Options) (*engine
 		return nil, err
 	}
 	e.buildPinMap()
+	e.pos = make([]geom.Point, len(e.blocks))
+	for i := range e.spare {
+		e.spare[i] = bstar.NewTree(e.blocks, nil)
+	}
 	v, _, l := e.evaluateRaw()
 	e.vnorm = math.Max(1, float64(v))
 	e.lnorm = math.Max(1, float64(l))
@@ -290,8 +303,10 @@ func (e *engine) assignTiers() error {
 	}
 	e.tierW = make([]int, n)
 	e.tierH = make([]int, n)
+	e.savedW = make([]int, n)
+	e.savedH = make([]int, n)
 	for t := range e.trees {
-		e.tierW[t], e.tierH[t] = e.trees[t].Pack()
+		e.repack(t)
 	}
 	return nil
 }
@@ -333,21 +348,25 @@ func (e *engine) shelfTree(members []int, targetW int) (*bstar.Tree, error) {
 	return tr, nil
 }
 
+// buildPinMap approximates each net pin by its module center within its
+// super-module and records every net as a netRef.
 func (e *engine) buildPinMap() {
+	pinSuper := map[int]int{}
+	pinLocal := map[int]geom.Point{}
 	for _, n := range e.nets {
 		for _, p := range []int{n.PinA, n.PinB} {
-			if _, ok := e.pinSuper[p]; ok {
+			if _, ok := pinSuper[p]; ok {
 				continue
 			}
 			pin := e.cl.NL.Pins[p]
 			m := e.cl.NL.Segments[pin.Segment].Module
 			sid := e.cl.OfModule[m]
-			e.pinSuper[p] = sid
+			pinSuper[p] = sid
 			s := e.cl.Supers[sid]
 			for i, mm := range s.Members {
 				if mm == m {
 					sz := cluster.ModuleSize(e.cl.NL, m)
-					e.pinLocal[p] = s.Offsets[i].Add(geom.Pt(sz.X/2, sz.Y/2, sz.Z/2))
+					pinLocal[p] = s.Offsets[i].Add(geom.Pt(sz.X/2, sz.Y/2, sz.Z/2))
 					break
 				}
 			}
@@ -356,23 +375,23 @@ func (e *engine) buildPinMap() {
 	e.netList = make([]netRef, len(e.nets))
 	for i, n := range e.nets {
 		e.netList[i] = netRef{
-			sa: e.pinSuper[n.PinA], la: e.pinLocal[n.PinA],
-			sb: e.pinSuper[n.PinB], lb: e.pinLocal[n.PinB],
+			sa: pinSuper[n.PinA],
+			sb: pinSuper[n.PinB],
+			d:  pinLocal[n.PinA].Sub(pinLocal[n.PinB]),
 		}
 	}
 }
 
-// repack refreshes the cached extents of the given tiers.
-func (e *engine) repack(tiers ...int) {
-	for _, t := range tiers {
-		e.tierW[t], e.tierH[t] = e.trees[t].Pack()
-	}
+// repack refreshes the cached extents of tier t.
+func (e *engine) repack(t int) {
+	e.tierW[t], e.tierH[t] = e.trees[t].Pack()
 }
 
-// positions extracts absolute super origins from the cached packings, with
-// TSL reallocation applied.
+// positions fills the engine's position buffer with absolute super
+// origins from the cached packings, with TSL reallocation applied, and
+// returns it; the next call overwrites it.
 func (e *engine) positions() []geom.Point {
-	pos := make([]geom.Point, len(e.blocks))
+	pos := e.pos
 	for i, b := range e.blocks {
 		pos[i] = geom.Pt(b.X+e.opts.Margin, b.Y+e.opts.Margin, 1+e.tierOf[i]*e.pitch)
 	}
@@ -382,29 +401,43 @@ func (e *engine) positions() []geom.Point {
 
 // reallocateTSLs restores per-qubit T ordering: the equally-sized supers of
 // each TSL are reassigned to their position multiset sorted by x (then
-// tier, then y), in Seq order.
+// tier, then y), in Seq order. The comparison covers every coordinate, so
+// it is a total order and the sorted multiset is unique.
 func (e *engine) reallocateTSLs(pos []geom.Point) {
 	for _, tsl := range e.cl.TSLs {
 		if len(tsl) < 2 {
 			continue
 		}
-		positions := make([]geom.Point, len(tsl))
-		for i, id := range tsl {
-			positions[i] = pos[id]
+		sorted := e.tslPos[:0]
+		for _, id := range tsl {
+			sorted = append(sorted, pos[id])
 		}
-		sort.Slice(positions, func(i, j int) bool {
-			if positions[i].X != positions[j].X {
-				return positions[i].X < positions[j].X
-			}
-			if positions[i].Z != positions[j].Z {
-				return positions[i].Z < positions[j].Z
-			}
-			return positions[i].Y < positions[j].Y
-		})
+		slices.SortFunc(sorted, comparePos)
 		for i, id := range tsl { // tsl is already in Seq order
-			pos[id] = positions[i]
+			pos[id] = sorted[i]
 		}
+		e.tslPos = sorted
 	}
+}
+
+// comparePos orders points by x, then z (tier), then y.
+func comparePos(a, b geom.Point) int {
+	if a.X != b.X {
+		return cmp.Compare(a.X, b.X)
+	}
+	if a.Z != b.Z {
+		return cmp.Compare(a.Z, b.Z)
+	}
+	return cmp.Compare(a.Y, b.Y)
+}
+
+// wireLength sums every net's Manhattan length at the given positions.
+func (e *engine) wireLength(pos []geom.Point) int {
+	l := 0
+	for _, n := range e.netList {
+		l += pos[n.sa].Add(n.d).Manhattan(pos[n.sb])
+	}
+	return l
 }
 
 // evaluateRaw returns (volume, aspect ratio, wirelength) from the cached
@@ -422,13 +455,7 @@ func (e *engine) evaluateRaw() (v int, r float64, l int) {
 	height := len(e.trees) * e.pitch
 	v = depth * width * height
 	r = float64(width) / float64(height)
-	pos := e.positions()
-	for _, n := range e.netList {
-		a := pos[n.sa].Add(n.la)
-		b := pos[n.sb].Add(n.lb)
-		l += a.Manhattan(b)
-	}
-	return v, r, l
+	return v, r, e.wireLength(e.positions())
 }
 
 func (e *engine) cost() float64 {
@@ -439,69 +466,82 @@ func (e *engine) cost() float64 {
 		gamma*dr*dr
 }
 
-// move describes one perturbation and how to undo it.
+// moveKind names the four perturbations of Section III-C2.
+type moveKind uint8
+
+const (
+	swapIntra moveKind = iota // swap two blocks of one tree
+	swapInter                 // swap blocks between two trees
+	moveIntra                 // move a block within one tree
+	moveInter                 // move a block to another tree
+)
+
+// move records one applied perturbation: enough to repack the tiers it
+// touched and to undo it.
 type move struct {
-	tiers []int // affected tiers
-	undo  func()
+	kind   moveKind
+	t1, t2 int // affected tiers; t2 is -1 for single-tree moves
+	a, b   int // swapped nodes (swaps)
+	ba, bb int // blocks that changed tier (ba alone for moveInter)
 }
 
-// perturb applies one random perturbation; returns nil when the draw was a
-// no-op.
-func (e *engine) perturb() *move {
+// perturb applies one random perturbation; ok is false when the draw was
+// a no-op. The subtree moves first save the trees they touch into the
+// engine's spare trees.
+func (e *engine) perturb() (mv move, ok bool) {
 	switch e.rng.Intn(4) {
 	case 0: // intra-tree swap
 		t := e.rng.Intn(len(e.trees))
 		tr := e.trees[t]
 		if tr.Len() < 2 {
-			return nil
+			return move{}, false
 		}
 		a, b := tr.RandomNode(e.rng), tr.RandomNode(e.rng)
 		if a == b {
-			return nil
+			return move{}, false
 		}
 		tr.SwapBlocks(a, b)
-		return &move{tiers: []int{t}, undo: func() { tr.SwapBlocks(a, b) }}
+		return move{kind: swapIntra, t1: t, t2: -1, a: a, b: b}, true
 	case 1: // inter-tree swap
 		if len(e.trees) < 2 {
-			return nil
+			return move{}, false
 		}
 		t1, t2 := e.rng.Intn(len(e.trees)), e.rng.Intn(len(e.trees))
 		if t1 == t2 || e.trees[t1].Len() == 0 || e.trees[t2].Len() == 0 {
-			return nil
+			return move{}, false
 		}
 		a, b := e.trees[t1].RandomNode(e.rng), e.trees[t2].RandomNode(e.rng)
 		ba, bb := e.trees[t1].BlockAt(a), e.trees[t2].BlockAt(b)
 		bstar.SwapBlocksAcross(e.trees[t1], a, e.trees[t2], b)
 		e.tierOf[ba], e.tierOf[bb] = t2, t1
-		return &move{tiers: []int{t1, t2}, undo: func() {
-			bstar.SwapBlocksAcross(e.trees[t1], a, e.trees[t2], b)
-			e.tierOf[ba], e.tierOf[bb] = t1, t2
-		}}
-	case 2: // intra-tree move (restore by tree snapshot)
+		return move{kind: swapInter, t1: t1, t2: t2, a: a, b: b, ba: ba, bb: bb}, true
+	case 2: // intra-tree move
 		t := e.rng.Intn(len(e.trees))
 		tr := e.trees[t]
 		if tr.Len() < 2 {
-			return nil
+			return move{}, false
 		}
-		saved := tr.CloneInto(e.blocks)
+		mv = move{kind: moveIntra, t1: t, t2: -1}
+		e.spare[0].CopyFrom(tr)
 		n := tr.RandomNode(e.rng)
 		b := tr.Remove(n)
 		p := tr.RandomNode(e.rng)
 		if err := tr.Insert(b, p, e.rng.Intn(2) == 0); err != nil {
-			e.trees[t] = saved
-			return nil
+			e.restoreTrees(mv)
+			return move{}, false
 		}
-		return &move{tiers: []int{t}, undo: func() { e.trees[t] = saved }}
+		return mv, true
 	default: // inter-tree move
 		if len(e.trees) < 2 {
-			return nil
+			return move{}, false
 		}
 		t1, t2 := e.rng.Intn(len(e.trees)), e.rng.Intn(len(e.trees))
 		if t1 == t2 || e.trees[t1].Len() < 2 {
-			return nil
+			return move{}, false
 		}
-		saved1 := e.trees[t1].CloneInto(e.blocks)
-		saved2 := e.trees[t2].CloneInto(e.blocks)
+		mv = move{kind: moveInter, t1: t1, t2: t2}
+		e.spare[0].CopyFrom(e.trees[t1])
+		e.spare[1].CopyFrom(e.trees[t2])
 		n := e.trees[t1].RandomNode(e.rng)
 		b := e.trees[t1].Remove(n)
 		var err error
@@ -511,14 +551,51 @@ func (e *engine) perturb() *move {
 			err = e.trees[t2].Insert(b, e.trees[t2].RandomNode(e.rng), e.rng.Intn(2) == 0)
 		}
 		if err != nil {
-			e.trees[t1], e.trees[t2] = saved1, saved2
-			return nil
+			e.restoreTrees(mv)
+			return move{}, false
 		}
 		e.tierOf[b] = t2
-		return &move{tiers: []int{t1, t2}, undo: func() {
-			e.trees[t1], e.trees[t2] = saved1, saved2
-			e.tierOf[b] = t1
-		}}
+		mv.ba = b
+		return mv, true
+	}
+}
+
+// restoreTrees swaps a subtree move's saved trees back in; the perturbed
+// trees become the spares.
+func (e *engine) restoreTrees(mv move) {
+	e.trees[mv.t1], e.spare[0] = e.spare[0], e.trees[mv.t1]
+	if mv.t2 >= 0 {
+		e.trees[mv.t2], e.spare[1] = e.spare[1], e.trees[mv.t2]
+	}
+}
+
+// repackMove saves the cached extents, then repacks the tiers mv touched.
+func (e *engine) repackMove(mv move) {
+	copy(e.savedW, e.tierW)
+	copy(e.savedH, e.tierH)
+	e.repack(mv.t1)
+	if mv.t2 >= 0 {
+		e.repack(mv.t2)
+	}
+}
+
+// undo reverts a repacked perturbation's trees, tiers and cached extents.
+// Block coordinates keep the rejected packing until their tier is next
+// repacked.
+func (e *engine) undo(mv move) {
+	copy(e.tierW, e.savedW)
+	copy(e.tierH, e.savedH)
+	switch mv.kind {
+	case swapIntra:
+		e.trees[mv.t1].SwapBlocks(mv.a, mv.b)
+	case swapInter:
+		bstar.SwapBlocksAcross(e.trees[mv.t1], mv.a, e.trees[mv.t2], mv.b)
+		e.tierOf[mv.ba], e.tierOf[mv.bb] = mv.t1, mv.t2
+	case moveIntra:
+		e.restoreTrees(mv)
+	case moveInter:
+		e.restoreTrees(mv)
+		e.tierOf[mv.ba] = mv.t1
 	}
 }
 
@@ -559,14 +636,12 @@ func (e *engine) anneal(ctx context.Context, ex *exchanger, chain int) error {
 				sinceBest = 0
 			}
 		}
-		mv := e.perturb()
-		if mv == nil {
+		mv, ok := e.perturb()
+		if !ok {
 			continue
 		}
 		e.moves++
-		savedW := append([]int(nil), e.tierW...)
-		savedH := append([]int(nil), e.tierH...)
-		e.repack(mv.tiers...)
+		e.repackMove(mv)
 		next := e.cost()
 		accept := next <= cur || e.rng.Float64() < math.Exp(-(next-cur)/temp)
 		if accept {
@@ -579,9 +654,7 @@ func (e *engine) anneal(ctx context.Context, ex *exchanger, chain int) error {
 				sinceBest++
 			}
 		} else {
-			mv.undo()
-			copy(e.tierW, savedW)
-			copy(e.tierH, savedH)
+			e.undo(mv)
 			sinceBest++
 		}
 		// Restart from the best solution when stuck deep in the schedule.
@@ -596,36 +669,29 @@ func (e *engine) anneal(ctx context.Context, ex *exchanger, chain int) error {
 	return nil
 }
 
+// snapshot returns fresh copies of the forest and tier map. They are
+// published to peer chains at exchange rounds, so they are never reused
+// or mutated afterwards.
 func (e *engine) snapshot() ([]*bstar.Tree, []int) {
-	trees := make([]*bstar.Tree, len(e.trees))
-	for i, t := range e.trees {
-		trees[i] = t.CloneInto(e.blocks)
-	}
-	return trees, append([]int(nil), e.tierOf...)
+	return cloneTrees(e.trees, e.blocks), append([]int(nil), e.tierOf...)
 }
 
+// restoreBest copies the best forest into the working trees and repacks
+// every tier.
 func (e *engine) restoreBest() {
-	e.trees = make([]*bstar.Tree, len(e.bestTrees))
 	for i, t := range e.bestTrees {
-		e.trees[i] = t.CloneInto(e.blocks)
+		e.trees[i].CopyFrom(t)
 	}
 	copy(e.tierOf, e.bestTierOf)
-	all := make([]int, len(e.trees))
-	for i := range all {
-		all[i] = i
+	for t := range e.trees {
+		e.repack(t)
 	}
-	e.repack(all...)
 }
 
 // extract materializes the final placement.
 func (e *engine) extract() *Placement {
-	pos := e.positions()
-	wl := 0
-	for _, n := range e.netList {
-		a := pos[n.sa].Add(n.la)
-		b := pos[n.sb].Add(n.lb)
-		wl += a.Manhattan(b)
-	}
+	pos := append([]geom.Point(nil), e.positions()...)
+	wl := e.wireLength(pos)
 	// TSL reallocation may have permuted supers across tiers; derive the
 	// final tier of each super from its resolved z.
 	tierOf := make([]int, len(pos))

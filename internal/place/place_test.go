@@ -1,6 +1,11 @@
 package place
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bridge"
@@ -268,6 +273,106 @@ func TestMarginSeparatesBodies(t *testing.T) {
 				t.Fatalf("supers %d and %d closer than the margin: %v %v", a, b, ba, bb)
 			}
 		}
+	}
+}
+
+// placementDigest is the hex SHA-256 of a placement's Pos (x, y, z per
+// super) followed by its TierOf, each value as a little-endian int64.
+func placementDigest(p *Placement) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
+		h.Write(buf[:])
+	}
+	for _, q := range p.Pos {
+		put(q.X)
+		put(q.Y)
+		put(q.Z)
+	}
+	for _, t := range p.TierOf {
+		put(t)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPlacementGolden pins the SA trajectory: every corpus circuit at the
+// automatic move budget, seeds 1 and 7, one and two chains, must reproduce
+// the move count, cost bits, wirelength and placement digest recorded
+// before the annealer's moves were made allocation-free. A change to the
+// PRNG draw order, the node walk order, the TSL sort or the cost
+// arithmetic shows up here even when it leaves placements legal.
+func TestPlacementGolden(t *testing.T) {
+	golden := []struct {
+		circuit    string
+		seed       int64
+		chains     int
+		moves      int
+		costBits   uint64
+		wireLength int
+		digest     string
+	}{
+		{"benchmark", 1, 1, 12716, 0x3ffac9b58ab65462, 5258, "be9944bb055a94486c9093245af70358501b2364c22514a4d5acc929cd1c2b38"},
+		{"benchmark", 1, 2, 12716, 0x3ffac9b58ab65462, 5258, "be9944bb055a94486c9093245af70358501b2364c22514a4d5acc929cd1c2b38"},
+		{"benchmark", 7, 1, 12671, 0x3ffb3e1efda15982, 6044, "b835ff43f3703d98c09e28d89389a532ec6da42c29aea83d6393167ffd93eaba"},
+		{"benchmark", 7, 2, 12671, 0x3ff728f0113f6e86, 4802, "f52cf088dd55489954d446828add6b99ec00caeab407f96be6064ac419d6abbe"},
+		{"tgate", 1, 1, 1120, 0x3fe7819502224a52, 330, "9e186fd74395baef58086612e9a2d24ccbfd71216f25f2cf1ed3db5ff588edb9"},
+		{"tgate", 1, 2, 1103, 0x3fe9b95cd64d9821, 350, "29841a94ca7ea8860e1fd0bc2428283cee4c82172eeca5d1e437a8d7ec04ca98"},
+		{"tgate", 7, 1, 1130, 0x3fe9713ffdf70f1e, 296, "56c3d14726c6d2d3ae1c8aed464f28c3fbf41f66e4b84b8ba9d15cfcd6de53a3"},
+		{"tgate", 7, 2, 1106, 0x3fe70e33a7fe3be6, 286, "8a67dc809505332d4161dc6c50498b909c4805d19ce6fc39a3ee94357aac6a5c"},
+		{"three-cnot", 1, 1, 149, 0x3ff6e62433b79891, 26, "92835a3cb31fdba636f3f47bf67fe6bcfc1f84c1dc561128c6e464f417edc93a"},
+		{"three-cnot", 1, 2, 149, 0x3ff6e62433b79891, 26, "92835a3cb31fdba636f3f47bf67fe6bcfc1f84c1dc561128c6e464f417edc93a"},
+		{"three-cnot", 7, 1, 152, 0x3ff6e62433b79891, 26, "f891e1efa7da2b761b5d997fa864bcf624a78c8a9ef3298695de9b0a681df85e"},
+		{"three-cnot", 7, 2, 152, 0x3ff6e62433b79891, 26, "f891e1efa7da2b761b5d997fa864bcf624a78c8a9ef3298695de9b0a681df85e"},
+	}
+	circuits := corpus(t)
+	for _, g := range golden {
+		label := fmt.Sprintf("%s/seed%d/chains%d", g.circuit, g.seed, g.chains)
+		cl, nets := pipeline(t, circuits[g.circuit]())
+		o := DefaultOptions()
+		o.Seed = g.seed
+		o.Chains = g.chains
+		p, err := Run(cl, nets, o)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if p.Moves != g.moves || math.Float64bits(p.Cost) != g.costBits || p.WireLength != g.wireLength {
+			t.Errorf("%s: moves %d cost %#x wirelength %d, want %d %#x %d",
+				label, p.Moves, math.Float64bits(p.Cost), p.WireLength, g.moves, g.costBits, g.wireLength)
+		}
+		if d := placementDigest(p); d != g.digest {
+			t.Errorf("%s: placement digest %s, want %s", label, d, g.digest)
+		}
+	}
+}
+
+// TestMoveCycleAllocatesNothing pins that one SA step off the best-cost
+// path (perturb, repack the touched tiers, evaluate Φ, undo) allocates
+// nothing once the engine's buffers have grown to the largest trees they
+// hold.
+func TestMoveCycleAllocatesNothing(t *testing.T) {
+	cl, nets := pipeline(t, corpus(t)["benchmark"]())
+	e, err := newEngine(cl, nets, quickOpts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.trees) < 2 {
+		t.Fatalf("benchmark packs on %d tier(s); the inter-tree moves need two", len(e.trees))
+	}
+	cycle := func() {
+		mv, ok := e.perturb()
+		if !ok {
+			return
+		}
+		e.repackMove(mv)
+		_ = e.cost()
+		e.undo(mv)
+	}
+	for i := 0; i < 2000; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(2000, cycle); allocs != 0 {
+		t.Fatalf("a move cycle allocates %.0f objects, want 0", allocs)
 	}
 }
 

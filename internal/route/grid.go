@@ -46,14 +46,21 @@ func (ci cellIndexer) point(i int) geom.Point {
 	return geom.Pt(ci.box.Min.X+x, ci.box.Min.Y+y, ci.box.Min.Z+z)
 }
 
-// denseCell packs every per-cell fact into one struct so the A* inner
-// loop's cellState probe touches a single cache line instead of four
-// parallel arrays.
+// denseCell packs the per-cell owners and congestion history into one
+// 16-byte struct so the A* inner loop's cellState probe touches a single
+// cache line instead of three parallel arrays. The static-obstacle flag
+// lives in the grid's blocked byte.
 type denseCell struct {
 	hist     float64
 	net, pin int32
-	static   bool
 }
+
+// Bits of grid.blocked: a cell is owned by a net or a pin, static, or
+// both.
+const (
+	blockedOwned  uint8 = 1
+	blockedStatic uint8 = 2
+)
 
 // grid holds the router's per-cell world state: static obstacles, net
 // ownership, pin ownership and congestion history. Worlds up to
@@ -67,11 +74,12 @@ type grid struct {
 	idx   cellIndexer
 
 	cells []denseCell
-	// blocked mirrors cells: 1 when the cell is static, net-owned or
-	// pin-owned. The A* kernels test this one byte on the fast path and
-	// fall back to the full cellState/passable check only for blocked
-	// cells (the owner might be the searching net itself), keeping the
-	// common free-cell probe inside a 24× denser array.
+	// blocked parallels cells: blockedOwned when the cell is net- or
+	// pin-owned, blockedStatic when it is a static obstacle. The A*
+	// kernels test this one byte on the fast path and fall back to the
+	// full cellState/passable check only for blocked cells (the owner
+	// might be the searching net itself), keeping the common free-cell
+	// probe inside a 16× denser array.
 	blocked []uint8
 	// histCells counts cells carrying a positive history charge. While it
 	// is zero (the whole first pass) every step costs exactly 1 and the
@@ -116,9 +124,7 @@ func (g *grid) setStatic(p geom.Point) {
 		return
 	}
 	if g.dense {
-		i := g.idx.index(p)
-		g.cells[i].static = true
-		g.blocked[i] = 1
+		g.blocked[g.idx.index(p)] |= blockedStatic
 		return
 	}
 	g.staticM[p] = true
@@ -130,7 +136,7 @@ func (g *grid) isStatic(p geom.Point) bool {
 		return false
 	}
 	if g.dense {
-		return g.cells[g.idx.index(p)].static
+		return g.blocked[g.idx.index(p)]&blockedStatic != 0
 	}
 	return g.staticM[p]
 }
@@ -144,7 +150,7 @@ func (g *grid) setNet(p geom.Point, id int) {
 	if g.dense {
 		i := g.idx.index(p)
 		g.cells[i].net = int32(id)
-		g.blocked[i] = 1
+		g.blocked[i] |= blockedOwned
 		return
 	}
 	g.netAtM[p] = id
@@ -159,8 +165,8 @@ func (g *grid) clearNet(p geom.Point, id int) {
 		i := g.idx.index(p)
 		if c := &g.cells[i]; c.net == int32(id) {
 			c.net = -1
-			if !c.static && c.pin < 0 {
-				g.blocked[i] = 0
+			if c.pin < 0 {
+				g.blocked[i] &^= blockedOwned
 			}
 		}
 		return
@@ -193,7 +199,7 @@ func (g *grid) setPin(p geom.Point, pid int) {
 	if g.dense {
 		i := g.idx.index(p)
 		g.cells[i].pin = int32(pid)
-		g.blocked[i] = 1
+		g.blocked[i] |= blockedOwned
 		return
 	}
 	g.pinAtM[p] = pid
@@ -223,8 +229,9 @@ func (g *grid) cellState(p geom.Point) (net, pin int32, static bool, hist float6
 		return -1, -1, false, 0
 	}
 	if g.dense {
-		c := &g.cells[g.idx.index(p)]
-		return c.net, c.pin, c.static, c.hist
+		i := g.idx.index(p)
+		c := &g.cells[i]
+		return c.net, c.pin, g.blocked[i]&blockedStatic != 0, c.hist
 	}
 	net, pin = -1, -1
 	if id, ok := g.netAtM[p]; ok {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/place"
@@ -108,6 +109,37 @@ func TestGridDenseSparseAgree(t *testing.T) {
 	}
 	if owner, ok := dense.netOwner(geom.Pt(2, 2, 2)); !ok || owner != 0 {
 		t.Fatalf("net 0 ownership lost: (%d,%v)", owner, ok)
+	}
+}
+
+// TestGridBlockedByte pins the dense grid's blocked byte: a cell stays
+// blocked while it is static or pin-owned, releasing its net frees only a
+// cell that is neither, and the static flag it carries survives net
+// ownership. It also pins the 16-byte cell the flag was moved out of.
+func TestGridBlockedByte(t *testing.T) {
+	if got := unsafe.Sizeof(denseCell{}); got != 16 {
+		t.Fatalf("denseCell is %d bytes, want 16", got)
+	}
+	g := newGrid(geom.NewBox(0, 0, 0, 4, 1, 1))
+	static, pinned, free := geom.Pt(0, 0, 0), geom.Pt(1, 0, 0), geom.Pt(2, 0, 0)
+	g.setStatic(static)
+	g.setPin(pinned, 4)
+	for _, p := range []geom.Point{static, pinned, free} {
+		g.setNet(p, 3)
+		g.clearNet(p, 3)
+	}
+	blocked := func(p geom.Point) bool { return g.blocked[g.idx.index(p)] != 0 }
+	if !blocked(static) || !g.isStatic(static) {
+		t.Fatal("releasing a static cell's net cleared its static flag")
+	}
+	if _, _, st, _ := g.cellState(static); !st {
+		t.Fatal("cellState lost the static flag")
+	}
+	if !blocked(pinned) || g.isStatic(pinned) {
+		t.Fatal("pin-owned cell: want blocked and not static")
+	}
+	if blocked(free) {
+		t.Fatal("releasing a free cell's net left it blocked")
 	}
 }
 

@@ -438,10 +438,11 @@ func (r *router) astarUni(n bridge.Net, starts, targets []geom.Point, tbox geom.
 				gi := gr.idx.index(next)
 				// Targets are enterable even when occupied by a friend
 				// path; blocked cells may still belong to this net.
-				if gr.blocked[gi] != 0 && !s.isTarget(ni) {
+				if b := gr.blocked[gi]; b != 0 && !s.isTarget(ni) {
 					c := &gr.cells[gi]
-					if !passable(n, c.net, c.pin, c.static) {
-						if !shove || !shovable(n, c.net, c.pin, c.static) {
+					static := b&blockedStatic != 0
+					if !passable(n, c.net, c.pin, static) {
+						if !shove || !shovable(n, c.net, c.pin, static) {
 							continue
 						}
 						pen = shovePenalty
@@ -578,9 +579,9 @@ func (r *router) astarBidi(n bridge.Net, start, target geom.Point, region geom.B
 				// unconditionally, mirroring the unidirectional kernel's
 				// seeded starts and enterable targets; other blocked
 				// cells may still belong to this net.
-				if gr.blocked[gi] != 0 && next != goal {
+				if b := gr.blocked[gi]; b != 0 && next != goal {
 					c := &gr.cells[gi]
-					if !passable(n, c.net, c.pin, c.static) {
+					if !passable(n, c.net, c.pin, b&blockedStatic != 0) {
 						continue
 					}
 				}

@@ -36,6 +36,9 @@ var (
 	ErrDegraded = faults.ErrDegraded
 	// ErrPanic marks a recovered panic converted into a StageError.
 	ErrPanic = faults.ErrPanic
+	// ErrEmpty marks a circuit whose gates all cancel, leaving nothing
+	// to lay out; the placement stage reports it.
+	ErrEmpty = faults.ErrEmpty
 )
 
 // StageError tags a pipeline failure with the stage that produced it. A

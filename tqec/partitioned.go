@@ -131,7 +131,7 @@ func CompilePartitionedContext(ctx context.Context, c *qc.Circuit, opts Options)
 	wg.Wait()
 	var empty error
 	for i, err := range errs {
-		if errors.Is(err, faults.ErrEmpty) {
+		if errors.Is(err, ErrEmpty) {
 			// The part has nothing to lay out: it has no gates (its qubits
 			// interact only across seams), or they all canceled during
 			// rewriting (e.g. a self-inverse CNOT pair isolated by the

@@ -2,6 +2,7 @@ package tqec
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/partition"
@@ -29,6 +30,28 @@ func partitionedOpts(cap int) Options {
 	o := FastOptions()
 	o.Partition = partition.Options{MaxQubitsPerPart: cap, Seed: 1}
 	return o
+}
+
+// TestIdentityCircuitIsErrEmpty pins that a caller outside the module can
+// recognise a circuit that reduces to nothing: six NOTs on 5 qubits that
+// cancel pairwise fail in the placement stage with ErrEmpty, whole and at
+// partition cap 3.
+func TestIdentityCircuitIsErrEmpty(t *testing.T) {
+	c := qc.New("identity", 5)
+	c.Append(qc.NOT(0), qc.NOT(1), qc.NOT(0), qc.NOT(2), qc.NOT(1), qc.NOT(2))
+	_, whole := CompileContext(context.Background(), c, FastOptions())
+	_, split := CompilePartitionedContext(context.Background(), c, partitionedOpts(3))
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{{"whole", whole}, {"cap 3", split}} {
+		if !errors.Is(tc.err, ErrEmpty) {
+			t.Fatalf("%s: want ErrEmpty, got %v", tc.name, tc.err)
+		}
+		if se, ok := AsStageError(tc.err); !ok || se.Stage != StagePlacement {
+			t.Fatalf("%s: want a placement StageError, got %v", tc.name, tc.err)
+		}
+	}
 }
 
 func TestCompilePartitionedStitchesSlabs(t *testing.T) {

@@ -21,8 +21,8 @@
 // and cancellation abort the pipeline within a bounded number of loop
 // iterations. Failures come back as *StageError values tagging the stage
 // that failed; errors.Is against the sentinel taxonomy (ErrCanceled,
-// ErrUnroutable, ErrPlacementInvalid, ErrDegraded, ErrPanic) classifies
-// the cause. Residual panics anywhere in a stage are recovered and
+// ErrUnroutable, ErrPlacementInvalid, ErrDegraded, ErrPanic, ErrEmpty)
+// classifies the cause. Residual panics anywhere in a stage are recovered and
 // converted into a StageError carrying the goroutine stack. A placement
 // that fails validation fails the compile with ErrPlacementInvalid;
 // routing failures degrade gracefully into per-net diagnostics and an
