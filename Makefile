@@ -27,8 +27,10 @@ fmt:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "fmt: not gofmt-formatted:" >&2; echo "$$out" >&2; exit 1; fi
 
+# The benchmark module is vetted too: `./...` stops at its go.mod.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 # Run the in-tree static analyzers (internal/lint) over the whole module.
 # Exits non-zero on any finding; see DESIGN.md for the enforced invariants.

@@ -49,9 +49,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y, p.Z + q.Z
 // Sub returns p−q componentwise.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y, p.Z - q.Z} }
 
-// Scale returns p scaled by k.
-func (p Point) Scale(k int) Point { return Point{p.X * k, p.Y * k, p.Z * k} }
-
 // Axis returns the coordinate of p along axis a.
 func (p Point) Axis(a Axis) int {
 	switch a {
@@ -85,11 +82,6 @@ func (p Point) Manhattan(q Point) int {
 // MaxPoint returns the componentwise maximum of p and q.
 func MaxPoint(p, q Point) Point {
 	return Point{max(p.X, q.X), max(p.Y, q.Y), max(p.Z, q.Z)}
-}
-
-// MinPoint returns the componentwise minimum of p and q.
-func MinPoint(p, q Point) Point {
-	return Point{min(p.X, q.X), min(p.Y, q.Y), min(p.Z, q.Z)}
 }
 
 // String formats the point as "(x,y,z)".
@@ -259,26 +251,8 @@ func (b Box) Translate(d Point) Box {
 	return Box{b.Min.Add(d), b.Max.Add(d)}
 }
 
-// Center returns the (floored) center cell of b.
-func (b Box) Center() Point {
-	return Point{
-		(b.Min.X + b.Max.X - 1) / 2,
-		(b.Min.Y + b.Max.Y - 1) / 2,
-		(b.Min.Z + b.Max.Z - 1) / 2,
-	}
-}
-
 // String formats the box as "[min..max)".
 func (b Box) String() string { return fmt.Sprintf("[%v..%v)", b.Min, b.Max) }
-
-// BoundingBox returns the smallest box containing every given box.
-func BoundingBox(boxes []Box) Box {
-	var r Box
-	for _, b := range boxes {
-		r = r.Union(b)
-	}
-	return r
-}
 
 // Segment is an axis-aligned lattice segment from A to B inclusive.
 // A and B must differ along at most one axis.

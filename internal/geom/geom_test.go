@@ -23,9 +23,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Sub(q); got != Pt(-3, 3, 1) {
 		t.Errorf("Sub: %v", got)
 	}
-	if got := p.Scale(2); got != Pt(2, 4, 6) {
-		t.Errorf("Scale: %v", got)
-	}
 	if got := p.Manhattan(q); got != 3+3+1 {
 		t.Errorf("Manhattan: %d", got)
 	}
@@ -157,20 +154,6 @@ func TestBoxTranslateCenter(t *testing.T) {
 	a := NewBox(0, 0, 0, 3, 3, 3)
 	if got := a.Translate(Pt(1, 2, 3)); got != NewBox(1, 2, 3, 4, 5, 6) {
 		t.Errorf("translate: %v", got)
-	}
-	if c := a.Center(); c != Pt(1, 1, 1) {
-		t.Errorf("center: %v", c)
-	}
-}
-
-func TestBoundingBox(t *testing.T) {
-	got := BoundingBox([]Box{
-		NewBox(0, 0, 0, 1, 1, 1),
-		NewBox(5, 5, 5, 6, 6, 6),
-		{},
-	})
-	if got != NewBox(0, 0, 0, 6, 6, 6) {
-		t.Fatalf("bounding box: %v", got)
 	}
 }
 

@@ -6,13 +6,13 @@
 // friend-net-aware targets — a net sharing a pin with an already routed
 // net may terminate anywhere on the routed friend's path instead of at the
 // pin, a topological deformation that preserves the braiding relationship
-// (Fig. 19). R-trees index routed net bounds for rip-up victim scans and
-// the obstacles verification checks against.
+// (Fig. 19). Rip-up victim scans walk the routed nets in ID order,
+// skipping those whose cached bounding box misses the region, and
+// verification checks paths against the same obstacles rasterized over
+// the routed cells' bounding box.
 //
-// The hot path is organized around two compounding optimizations:
-// bidirectional A* for single-start/single-target nets (search.go), and an
-// incrementally maintained R-tree over routed net bounds so rip-up victim
-// scans never rebuild an index or walk every route. Routing is
+// The hot path is bidirectional A* for single-start/single-target nets
+// (search.go) over the dense cell grid (grid.go). Routing is
 // deterministic for a fixed input: see ARCHITECTURE.md's "Routing" section
 // for the contracts.
 package route
@@ -28,7 +28,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/geom"
 	"repro/internal/place"
-	"repro/internal/rtree"
 )
 
 // cancelCheckExpansions bounds how many A* expansions may elapse between
@@ -103,8 +102,8 @@ type FailedNet struct {
 type RoutingStats struct {
 	// Search is the time spent in A* searches.
 	Search time.Duration
-	// Commit is the time spent committing paths: recording routes,
-	// claiming grid cells and maintaining the net R-tree.
+	// Commit is the time spent committing paths: recording routes and
+	// their bounds and claiming grid cells.
 	Commit time.Duration
 	// RipUp is the time spent scanning for and removing rip-up victims,
 	// including congestion-history charging.
@@ -213,13 +212,10 @@ type router struct {
 
 	pinCell map[int]geom.Point // pin ID -> cell
 	routes  map[int]geom.Path
-	// routeBounds caches each routed path's bounding box so rip-up
-	// victim scans can skip distant nets cheaply.
-	routeBounds map[int]geom.Box
-	// netTree indexes routed net bounding boxes, maintained
-	// incrementally on commit and uncommit, so rip-up victim scans query
-	// it instead of walking every route.
-	netTree *rtree.Tree
+	// routeBounds caches each routed path's bounding box by net ID (the
+	// empty box while the net is unrouted) so rip-up victim scans skip
+	// distant nets without walking their cells.
+	routeBounds []geom.Box
 
 	// friends[pin] lists net IDs sharing the pin.
 	friends map[int][]int
@@ -278,8 +274,7 @@ func newRouter(ctx context.Context, p *place.Placement, nets []bridge.Net, opts 
 		ctx:         ctx,
 		pinCell:     map[int]geom.Point{},
 		routes:      map[int]geom.Path{},
-		routeBounds: map[int]geom.Box{},
-		netTree:     rtree.New(),
+		routeBounds: make([]geom.Box, len(nets)),
 		friends:     map[int][]int{},
 		eps:         make([]netEndpoints, len(nets)),
 		pinRev:      map[int]uint64{},
@@ -351,10 +346,15 @@ func (r *router) build() error {
 
 // addObstacle rasterizes a static obstacle box's cells into staticCells.
 func addObstacle(b geom.Box, staticCells map[geom.Point]bool) {
+	forEachCell(b, func(c geom.Point) { staticCells[c] = true })
+}
+
+// forEachCell calls f on every cell of b, x-major, then y, then z.
+func forEachCell(b geom.Box, f func(geom.Point)) {
 	for x := b.Min.X; x < b.Max.X; x++ {
 		for y := b.Min.Y; y < b.Max.Y; y++ {
 			for z := b.Min.Z; z < b.Max.Z; z++ {
-				staticCells[geom.Pt(x, y, z)] = true
+				f(geom.Pt(x, y, z))
 			}
 		}
 	}
@@ -743,19 +743,18 @@ func (r *router) searchRegion(n bridge.Net, margin int) geom.Box {
 
 // ripUpRegion removes routed nets whose cells intersect the region,
 // charging congestion history, and returns the victims' net indices in
-// ascending order. Candidates come from the incrementally maintained net
-// R-tree (bounding-box hits filtered by an exact cell scan), so the cost
-// scales with the nets near the region, not the routed total. Ripping a
-// net can leave a friend that terminated on its path with a dangling
-// terminal; repairDangling re-anchors those after the negotiation rounds
-// instead of cascading rip-ups here (eager transitive ripping thrashes
-// the rip budget on congested regions).
+// ascending order. The scan walks net IDs in ascending order, so the
+// victims come out sorted: a net whose cached bounding box misses the
+// region is skipped without touching its cells, and the rest get an
+// exact cell scan. Ripping a net can leave a friend that terminated on its
+// path with a dangling terminal; repairDangling re-anchors those after
+// the negotiation rounds instead of cascading rip-ups here (eager
+// transitive ripping thrashes the rip budget on congested regions).
 func (r *router) ripUpRegion(region geom.Box, exceptNet int) []int {
 	t0 := r.tick()
 	var out []int
-	for _, e := range r.netTree.Search(region, nil) {
-		id := e.ID
-		if id == exceptNet {
+	for id, b := range r.routeBounds {
+		if id == exceptNet || !b.Intersects(region) {
 			continue
 		}
 		for _, c := range r.routes[id] {
@@ -765,7 +764,6 @@ func (r *router) ripUpRegion(region geom.Box, exceptNet int) []int {
 			}
 		}
 	}
-	sort.Ints(out)
 	for _, id := range out {
 		for _, c := range r.routes[id] {
 			r.grid.histAdd(c, 1.0)
@@ -780,14 +778,13 @@ func (r *router) ripUpRegion(region geom.Box, exceptNet int) []int {
 	return out
 }
 
-// dropRoute removes net id's route bookkeeping — route map, bounds cache,
-// net R-tree entry — and invalidates dependent state: the endpoint caches
-// keyed off the net's pins and the dangling-scan dirty set. The caller
-// has already cleared or will re-own the grid cells.
+// dropRoute removes net id's route bookkeeping — route map and bounds
+// cache — and invalidates dependent state: the endpoint caches keyed off
+// the net's pins and the dangling-scan dirty set. The caller has already
+// cleared or will re-own the grid cells.
 func (r *router) dropRoute(id int) {
-	r.netTree.Delete(r.routeBounds[id], id)
 	delete(r.routes, id)
-	delete(r.routeBounds, id)
+	r.routeBounds[id] = geom.Box{}
 	n := r.nets[id]
 	r.pinRev[n.PinA]++
 	r.pinRev[n.PinB]++
@@ -1016,16 +1013,13 @@ func (r *router) searchNet(n bridge.Net, margin int) geom.Path {
 	return r.astar(n, ep, r.searchRegion(n, margin))
 }
 
-// commit records a routed path: the route map, the bounds cache, the net
-// R-tree, grid cell ownership (first owner wins — friend endpoints may
-// coincide) and the pin revisions that invalidate dependent endpoint
-// caches.
+// commit records a routed path: the route map, the bounds cache, grid
+// cell ownership (first owner wins — friend endpoints may coincide) and
+// the pin revisions that invalidate dependent endpoint caches.
 func (r *router) commit(n bridge.Net, path geom.Path) {
 	t0 := r.tick()
 	r.routes[n.ID] = path
-	b := path.Bounds()
-	r.routeBounds[n.ID] = b
-	r.netTree.Insert(b, n.ID)
+	r.routeBounds[n.ID] = path.Bounds()
 	for _, c := range path {
 		if _, occ := r.grid.netOwner(c); !occ {
 			r.grid.setNet(c, n.ID)
@@ -1098,20 +1092,7 @@ func VerifyStructure(p *place.Placement, res *Result) error {
 // verifyStructure runs the structural path checks shared by strict and
 // degraded verification.
 func verifyStructure(p *place.Placement, res *Result) error {
-	// Module bodies carry their module index so a violation names the
-	// module it pierces; distillation boxes use -1.
-	static := rtree.New()
-	for m := range p.Clust.NL.Modules {
-		static.Insert(p.ModuleBox(m), m)
-	}
-	for _, b := range p.BoxObstacles() {
-		static.Insert(b, -1)
-	}
-	type use struct {
-		id  int
-		mid bool
-	}
-	uses := map[geom.Point][]use{}
+	var routed geom.Box
 	for id, path := range res.Routes {
 		if len(path) == 0 {
 			return fmt.Errorf("route: net %d has empty path", id)
@@ -1119,9 +1100,36 @@ func verifyStructure(p *place.Placement, res *Result) error {
 		if !path.Valid() {
 			return fmt.Errorf("route: net %d path disconnected", id)
 		}
+		routed = routed.Union(path.Bounds())
+	}
+	// Rasterize the obstacles over the routed cells' bounding box: a cell
+	// holds 1 + the lowest index of a module body covering it, so a
+	// violation names the module it pierces, else -1 inside a
+	// distillation box and 0 when free.
+	ci := newCellIndexer(routed)
+	obstacle := make([]int32, ci.volume())
+	mark := func(b geom.Box, v int32) {
+		forEachCell(b.Intersect(routed), func(c geom.Point) {
+			if i := ci.index(c); obstacle[i] == 0 {
+				obstacle[i] = v
+			}
+		})
+	}
+	for m := range p.Clust.NL.Modules {
+		mark(p.ModuleBox(m), int32(m+1))
+	}
+	for _, b := range p.BoxObstacles() {
+		mark(b, -1)
+	}
+	type use struct {
+		id  int
+		mid bool
+	}
+	uses := map[geom.Point][]use{}
+	for id, path := range res.Routes {
 		for i, c := range path {
-			if static.Intersects(geom.CellBox(c)) {
-				return fmt.Errorf("route: net %d cell %v %s", id, c, obstacleName(static, c))
+			if v := obstacle[ci.index(c)]; v != 0 {
+				return fmt.Errorf("route: net %d cell %v %s", id, c, obstacleName(v))
 			}
 			uses[c] = append(uses[c], use{id: id, mid: i != 0 && i != len(path)-1})
 		}
@@ -1144,13 +1152,11 @@ func verifyStructure(p *place.Placement, res *Result) error {
 	return nil
 }
 
-// obstacleName describes the static obstacle covering cell c: the pierced
-// module by index, or a distillation box.
-func obstacleName(static *rtree.Tree, c geom.Point) string {
-	for _, e := range static.Search(geom.CellBox(c), nil) {
-		if e.ID >= 0 {
-			return fmt.Sprintf("inside module %d body", e.ID)
-		}
+// obstacleName describes a nonzero verification raster value: the
+// pierced module by index, or a distillation box.
+func obstacleName(v int32) string {
+	if v > 0 {
+		return fmt.Sprintf("inside module %d body", v-1)
 	}
 	return "inside a distillation-box obstacle"
 }

@@ -1,7 +1,12 @@
 package route
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,6 +23,17 @@ import (
 )
 
 func placed(t testing.TB, c *qc.Circuit, bridged bool, saIters int) *place.Placement {
+	t.Helper()
+	po := place.DefaultOptions()
+	po.Iterations = saIters
+	po.Seed = 7
+	return placedWith(t, c, bridged, po)
+}
+
+// placedWith runs the pipeline prefix — decompose, ICM conversion,
+// canonical form, modular netlist, bridging (when bridged), clustering —
+// and places the result with po.
+func placedWith(t testing.TB, c *qc.Circuit, bridged bool, po place.Options) *place.Placement {
 	t.Helper()
 	r, err := decompose.Decompose(c)
 	if err != nil {
@@ -43,9 +59,6 @@ func placed(t testing.TB, c *qc.Circuit, bridged bool, saIters int) *place.Place
 	if err != nil {
 		t.Fatal(err)
 	}
-	po := place.DefaultOptions()
-	po.Iterations = saIters
-	po.Seed = 7
 	pl, err := place.Run(cl, br.Nets, po)
 	if err != nil {
 		t.Fatal(err)
@@ -292,6 +305,33 @@ func TestVerifyRejectsPathThroughModule(t *testing.T) {
 	}
 }
 
+// Verify must name a distillation box a corrupted path enters. The path
+// starts at the box's minimum cell and runs along x out through its far
+// face, so its first cell is inside the box and no module body can be
+// named first.
+func TestVerifyRejectsPathThroughDistillationBox(t *testing.T) {
+	c := qc.New("box", 2)
+	c.Append(qc.T(0), qc.CNOT(0, 1))
+	pl := placed(t, c, true, 200)
+	boxes := pl.BoxObstacles()
+	if len(boxes) == 0 {
+		t.Fatal("a T gate placed no distillation box")
+	}
+	b := boxes[0]
+	var path geom.Path
+	for x := b.Min.X; x <= b.Max.X; x++ {
+		path = append(path, geom.Pt(x, b.Min.Y, b.Min.Z))
+	}
+	res := &Result{Routes: map[int]geom.Path{0: path}}
+	err := Verify(pl, res)
+	if err == nil {
+		t.Fatal("path through a distillation box not caught")
+	}
+	if !strings.Contains(err.Error(), "inside a distillation-box obstacle") {
+		t.Fatalf("error does not name the distillation box: %v", err)
+	}
+}
+
 // Verify must reject a routed path whose terminal is anchored neither at
 // its own pin cell nor on a friend's path. Truncating a real route's first
 // cell detaches that terminal exactly the way a ripped-up friend would.
@@ -439,5 +479,96 @@ func TestNegotiationReanchorsFriendTerminals(t *testing.T) {
 	}
 	if err := Verify(pl, res); err != nil {
 		t.Fatalf("post-negotiation verify: %v", err)
+	}
+}
+
+// routingDigest hashes a routing result's routes in net-ID order (each
+// net's ID, path length and cells) followed by its Failed and
+// FallbackNets lists.
+func routingDigest(res *Result) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
+		h.Write(buf[:])
+	}
+	ids := make([]int, 0, len(res.Routes))
+	for id := range res.Routes {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		path := res.Routes[id]
+		put(id)
+		put(len(path))
+		for _, c := range path {
+			put(c.X)
+			put(c.Y)
+			put(c.Z)
+		}
+	}
+	for _, list := range [][]int{res.Failed, res.FallbackNets} {
+		put(len(list))
+		for _, id := range list {
+			put(id)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRoutingGolden pins the router's trajectory: two benchmark circuits,
+// placed at the automatic move budget with seeds 1 and 7 on one chain,
+// must reproduce the recorded routes, failure lists, round and rip-up
+// counts, history cell count and sub-stage counters. A change to net
+// order, rip-up victim order, the A* tie-breaking or the commit protocol
+// shows up here even when it leaves every route legal. At least one case
+// must rip up victims, or ripUpRegion goes unpinned.
+func TestRoutingGolden(t *testing.T) {
+	golden := []struct {
+		circuit                         string
+		seed                            int64
+		firstPass, iterations, rippedUp int
+		historyCells                    int
+		searches, commits, ripUpScans   int
+		digest                          string
+	}{
+		{"4gt10-v1_81", 1, 331, 2, 44, 908, 396, 394, 1, "d6679d7876b377b6f712b181cd836b89a75e4161d1cda69a74f93b32e634e4ff"},
+		{"4gt10-v1_81", 7, 330, 2, 13, 188, 351, 348, 1, "8ff5b9d700328059744e6a1e69ffeca777471a2784d5e6c04008a23810e257a0"},
+		{"4gt4-v0_73", 1, 658, 2, 338, 7686, 1083, 1066, 6, "c963f4ff622e2471c7531b5442ee720d5ef27b584c34da139128e5db81ae46e4"},
+		{"4gt4-v0_73", 7, 667, 2, 44, 1073, 729, 726, 1, "c4d126754fbf540b8b82cdaf5ec7a84d08016bfd1686051191e97293994ba7be"},
+	}
+	scans := 0
+	for _, g := range golden {
+		label := fmt.Sprintf("%s/seed%d", g.circuit, g.seed)
+		spec, err := qc.BenchmarkByName(g.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		po := place.DefaultOptions()
+		po.Seed = g.seed
+		po.Chains = 1
+		pl := placedWith(t, mustGen(t, spec), true, po)
+		res, err := Run(pl, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		st := res.Stats
+		if res.FirstPassRouted != g.firstPass || res.Iterations != g.iterations || res.RippedUp != g.rippedUp ||
+			res.HistoryCells != g.historyCells {
+			t.Errorf("%s: first pass %d, iterations %d, ripped up %d, history cells %d; want %d %d %d %d",
+				label, res.FirstPassRouted, res.Iterations, res.RippedUp, res.HistoryCells,
+				g.firstPass, g.iterations, g.rippedUp, g.historyCells)
+		}
+		if st.Searches != g.searches || st.Commits != g.commits || st.RipUpScans != g.ripUpScans {
+			t.Errorf("%s: searches %d, commits %d, rip-up scans %d; want %d %d %d",
+				label, st.Searches, st.Commits, st.RipUpScans, g.searches, g.commits, g.ripUpScans)
+		}
+		if d := routingDigest(res); d != g.digest {
+			t.Errorf("%s: routing digest %s, want %s", label, d, g.digest)
+		}
+		scans += st.RipUpScans
+	}
+	if scans == 0 {
+		t.Fatal("no golden case scans for rip-up victims; ripUpRegion is uncovered")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bridge"
 	"repro/internal/faults"
 	"repro/internal/geom"
-	"repro/internal/rtree"
 )
 
 // SeamNet is a two-terminal net between explicit lattice cells, used by
@@ -101,12 +100,6 @@ func (r *router) buildSeams(obstacles []geom.Box, nets []SeamNet, base geom.Box)
 // wrapping faults.ErrUnroutable, and a degraded one with
 // faults.ErrDegraded.
 func VerifySeams(obstacles []geom.Box, nets []SeamNet, res *Result) error {
-	static := rtree.New()
-	for _, b := range obstacles {
-		if b.Volume() > 0 {
-			static.Insert(b, -1)
-		}
-	}
 	owner := map[geom.Point]int{}
 	for i, sn := range nets {
 		path, ok := res.Routes[i]
@@ -121,8 +114,10 @@ func VerifySeams(obstacles []geom.Box, nets []SeamNet, res *Result) error {
 			return fmt.Errorf("route: seam %d terminals %v..%v, want %v..%v", sn.ID, head, tail, sn.A, sn.B)
 		}
 		for _, c := range path {
-			if static.Intersects(geom.CellBox(c)) {
-				return fmt.Errorf("route: seam %d cell %v pierces a slab obstacle", sn.ID, c)
+			for _, b := range obstacles {
+				if b.Contains(c) {
+					return fmt.Errorf("route: seam %d cell %v pierces a slab obstacle", sn.ID, c)
+				}
 			}
 			if prev, used := owner[c]; used {
 				return fmt.Errorf("route: seams %d and %d overlap at %v", nets[prev].ID, sn.ID, c)

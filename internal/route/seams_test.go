@@ -3,6 +3,7 @@ package route
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -78,11 +79,34 @@ func TestVerifySeamsCatchesTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shift one path's terminal off its pin.
-	tampered := append(geom.Path{}, res.Routes[0]...)
-	tampered[0] = tampered[0].Add(geom.Pt(0, 0, -1))
-	res.Routes[0] = tampered
-	if err := VerifySeams(obstacles, nets, res); err == nil {
-		t.Fatal("tampered terminal passed verification")
+	for _, tc := range []struct {
+		name string
+		// want is a substring of the expected error; "" accepts any.
+		want   string
+		tamper func(geom.Path) geom.Path
+	}{
+		// Shift one path's terminal off its pin.
+		{"terminal", "", func(p geom.Path) geom.Path {
+			p[0] = p[0].Add(geom.Pt(0, 0, -1))
+			return p
+		}},
+		// Keep seam 0's pins but detour through slab A's corner cell
+		// (5,0,0) on the way.
+		{"slab", "pierces a slab obstacle", func(geom.Path) geom.Path {
+			return geom.Path{
+				geom.Pt(6, 0, -1), geom.Pt(5, 0, -1), geom.Pt(5, 0, 0), geom.Pt(6, 0, 0),
+				geom.Pt(7, 0, 0), geom.Pt(8, 0, 0), geom.Pt(9, 0, 0), geom.Pt(9, 0, -1),
+			}
+		}},
+	} {
+		orig := res.Routes[0]
+		res.Routes[0] = tc.tamper(append(geom.Path{}, orig...))
+		err := VerifySeams(obstacles, nets, res)
+		res.Routes[0] = orig
+		if err == nil {
+			t.Errorf("%s: tampered seam passed verification", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		}
 	}
 }
