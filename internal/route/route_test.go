@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -519,23 +520,36 @@ func routingDigest(res *Result) string {
 // TestRoutingGolden pins the router's trajectory: two benchmark circuits,
 // placed at the automatic move budget with seeds 1 and 7 on one chain,
 // must reproduce the recorded routes, failure lists, round and rip-up
-// counts, history cell count and sub-stage counters. A change to net
+// counts, history statistics and sub-stage counters. A change to net
 // order, rip-up victim order, the A* tie-breaking or the commit protocol
 // shows up here even when it leaves every route legal. At least one case
-// must rip up victims, or ripUpRegion goes unpinned.
+// must rip up victims, or ripUpRegion goes unpinned. The two degraded
+// cases force every 20th net to fail its normal attempts (FailNet), so
+// those nets reach degrade's whole-world fallback: they pin the rescue
+// searches, which span the whole world rather than a net's neighbourhood.
 func TestRoutingGolden(t *testing.T) {
 	golden := []struct {
 		circuit                         string
 		seed                            int64
+		failEvery                       int
 		firstPass, iterations, rippedUp int
 		historyCells                    int
+		maxHistory                      float64
 		searches, commits, ripUpScans   int
+		fallback, failed                []int
 		digest                          string
 	}{
-		{"4gt10-v1_81", 1, 331, 2, 44, 908, 396, 394, 1, "d6679d7876b377b6f712b181cd836b89a75e4161d1cda69a74f93b32e634e4ff"},
-		{"4gt10-v1_81", 7, 330, 2, 13, 188, 351, 348, 1, "8ff5b9d700328059744e6a1e69ffeca777471a2784d5e6c04008a23810e257a0"},
-		{"4gt4-v0_73", 1, 658, 2, 338, 7686, 1083, 1066, 6, "c963f4ff622e2471c7531b5442ee720d5ef27b584c34da139128e5db81ae46e4"},
-		{"4gt4-v0_73", 7, 667, 2, 44, 1073, 729, 726, 1, "c4d126754fbf540b8b82cdaf5ec7a84d08016bfd1686051191e97293994ba7be"},
+		{"4gt10-v1_81", 1, 0, 331, 2, 44, 908, 2, 396, 394, 1, nil, nil, "d6679d7876b377b6f712b181cd836b89a75e4161d1cda69a74f93b32e634e4ff"},
+		{"4gt10-v1_81", 7, 0, 330, 2, 13, 188, 2, 351, 348, 1, nil, nil, "8ff5b9d700328059744e6a1e69ffeca777471a2784d5e6c04008a23810e257a0"},
+		{"4gt4-v0_73", 1, 0, 658, 2, 338, 7686, 4, 1083, 1066, 6, nil, nil, "c963f4ff622e2471c7531b5442ee720d5ef27b584c34da139128e5db81ae46e4"},
+		{"4gt4-v0_73", 7, 0, 667, 2, 44, 1073, 3, 729, 726, 1, nil, nil, "c4d126754fbf540b8b82cdaf5ec7a84d08016bfd1686051191e97293994ba7be"},
+		{"4gt10-v1_81", 1, 20, 314, 6, 1021, 15159, 10, 1552, 1388, 26,
+			[]int{0, 20, 40, 60, 80, 100, 120, 140, 160, 180, 200, 220, 240, 260, 280, 300, 320}, nil,
+			"bbca4ccb7d0e029073b4861ca810a6ae971f7f5402e19b9b37ea133bf3f48d47"},
+		{"4gt4-v0_73", 7, 20, 630, 6, 2122, 39226, 13, 3247, 2903, 44,
+			[]int{0, 20, 40, 60, 80, 100, 120, 140, 160, 180, 200, 220, 240, 260, 280, 300, 320, 340, 360,
+				380, 400, 420, 440, 460, 480, 500, 520, 537, 540, 560, 580, 600, 620, 640, 660}, nil,
+			"2ce3f6afdc8eaa85f8501a2438504588ab80c905561a72b6695abd8d2118dff7"},
 	}
 	scans := 0
 	for _, g := range golden {
@@ -548,20 +562,29 @@ func TestRoutingGolden(t *testing.T) {
 		po.Seed = g.seed
 		po.Chains = 1
 		pl := placedWith(t, mustGen(t, spec), true, po)
-		res, err := Run(pl, DefaultOptions())
+		opts := DefaultOptions()
+		if g.failEvery > 0 {
+			label += fmt.Sprintf("/fail%d", g.failEvery)
+			opts.FailNet = func(id int) bool { return id%g.failEvery == 0 }
+		}
+		res, err := Run(pl, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		st := res.Stats
 		if res.FirstPassRouted != g.firstPass || res.Iterations != g.iterations || res.RippedUp != g.rippedUp ||
-			res.HistoryCells != g.historyCells {
-			t.Errorf("%s: first pass %d, iterations %d, ripped up %d, history cells %d; want %d %d %d %d",
-				label, res.FirstPassRouted, res.Iterations, res.RippedUp, res.HistoryCells,
-				g.firstPass, g.iterations, g.rippedUp, g.historyCells)
+			res.HistoryCells != g.historyCells || res.MaxHistory != g.maxHistory {
+			t.Errorf("%s: first pass %d, iterations %d, ripped up %d, history cells %d, max history %v; want %d %d %d %d %v",
+				label, res.FirstPassRouted, res.Iterations, res.RippedUp, res.HistoryCells, res.MaxHistory,
+				g.firstPass, g.iterations, g.rippedUp, g.historyCells, g.maxHistory)
 		}
 		if st.Searches != g.searches || st.Commits != g.commits || st.RipUpScans != g.ripUpScans {
 			t.Errorf("%s: searches %d, commits %d, rip-up scans %d; want %d %d %d",
 				label, st.Searches, st.Commits, st.RipUpScans, g.searches, g.commits, g.ripUpScans)
+		}
+		if !slices.Equal(res.FallbackNets, g.fallback) || !slices.Equal(res.Failed, g.failed) {
+			t.Errorf("%s: fallback nets %v, failed %v; want %v %v",
+				label, res.FallbackNets, res.Failed, g.fallback, g.failed)
 		}
 		if d := routingDigest(res); d != g.digest {
 			t.Errorf("%s: routing digest %s, want %s", label, d, g.digest)
