@@ -19,12 +19,13 @@
 // pipeline, records per-stage wall time, allocation deltas and compression
 // metrics, and writes a schema-versioned JSON artifact (see BENCHMARKS.md).
 // -compare judges a new artifact against an old one and exits non-zero
-// when any time metric regressed by more than -threshold or any volume
-// grew; -summary additionally appends a markdown delta table (routing
-// rows first) to the given file, which CI points at $GITHUB_STEP_SUMMARY.
-// -compare-kernels-only judges only the isolated testing.Benchmark kernel
-// ns/op numbers — the low-noise subset CI gates blockingly (the stage
-// wall-clock comparison stays advisory via -compare-warn).
+// when any time metric or kernel bytes/op figure grew by more than
+// -threshold or any volume grew; -summary additionally appends a markdown
+// delta table (routing rows first) to the given file, which CI points at
+// $GITHUB_STEP_SUMMARY. -compare-kernels-only judges only the isolated
+// testing.Benchmark kernels' ns/op and bytes/op — the low-noise subset CI
+// gates blockingly (the stage wall-clock comparison stays advisory via
+// -compare-warn).
 //
 // The default benchmark set holds the two smallest circuits; -full runs
 // all eight (the paper spends over an hour of workstation time there).
@@ -257,13 +258,13 @@ func runCompare(args []string, threshold float64, warnOnly, kernelsOnly bool, su
 	}
 	if regs := rep.Regressions(); len(regs) > 0 {
 		if warnOnly {
-			fmt.Printf("warning: %d metric(s) regressed (times by more than %.0f%%, volumes at all; informational, not failing)\n",
+			fmt.Printf("warning: %d metric(s) regressed (times and kernel bytes by more than %.0f%%, volumes at all; informational, not failing)\n",
 				len(regs), rep.Threshold*100)
 			return nil
 		}
-		return fmt.Errorf("%d metric(s) regressed (times by more than %.0f%%, volumes at all)", len(regs), rep.Threshold*100)
+		return fmt.Errorf("%d metric(s) regressed (times and kernel bytes by more than %.0f%%, volumes at all)", len(regs), rep.Threshold*100)
 	}
-	fmt.Printf("no regressions (times within %.0f%%, no volume growth) across %d metric(s)\n", rep.Threshold*100, len(rep.Deltas))
+	fmt.Printf("no regressions (times and kernel bytes within %.0f%%, no volume growth) across %d metric(s)\n", rep.Threshold*100, len(rep.Deltas))
 	return nil
 }
 
@@ -287,8 +288,11 @@ func writeSummary(path, oldName, newName string, rep *bench.Report) error {
 			mark = "⚠️ regression"
 		}
 		oldV, newV := fmt.Sprintf("%.2fms", float64(d.Old)/1e6), fmt.Sprintf("%.2fms", float64(d.New)/1e6)
-		if d.Unit() == "cells" {
+		switch d.Unit() {
+		case "cells":
 			oldV, newV = fmt.Sprint(d.Old), fmt.Sprint(d.New)
+		case "B":
+			oldV, newV = fmt.Sprintf("%.2fMB", float64(d.Old)/1e6), fmt.Sprintf("%.2fMB", float64(d.New)/1e6)
 		}
 		fmt.Fprintf(&b, "| %s | %s | %s | %+.1f%% | %s |\n",
 			d.Metric, oldV, newV, (d.Ratio-1)*100, mark)

@@ -385,7 +385,8 @@ func validStat(s Stat) error {
 // Delta is one compared measurement.
 type Delta struct {
 	// Metric names the measurement ("circuit/total", "circuit/stage",
-	// "circuit/volume", or "kernel/ns_per_op" style paths).
+	// "circuit/volume", "kernel/name" for a kernel's ns/op or
+	// "kernel/name/bytes" for its bytes allocated per op).
 	Metric string
 	// Old and New are the compared values, in the unit Unit names.
 	Old, New int64
@@ -396,10 +397,13 @@ type Delta struct {
 }
 
 // Unit names the unit of Old and New: "cells" for the volume metrics,
-// "ns" for every time.
+// "B" for kernel bytes allocated per op, "ns" for every time.
 func (d Delta) Unit() string {
-	if strings.HasSuffix(d.Metric, "volume") {
+	switch {
+	case strings.HasSuffix(d.Metric, "volume"):
 		return "cells"
+	case strings.HasSuffix(d.Metric, "/bytes"):
+		return "B"
 	}
 	return "ns"
 }
@@ -433,10 +437,11 @@ const DefaultThreshold = 0.10
 // Compare judges new against old: every circuit total, per-stage time
 // and kernel cost present in both artifacts is compared by its minimum
 // (the least noisy estimate), and any slowdown strictly beyond threshold
-// is a regression. Every circuit volume and the partitioned whole and
-// split volumes are compared too, and any growth is a regression whatever
-// the threshold, so a speedup cannot quietly buy a worse layout. Metrics
-// only one side has are reported as missing, never judged.
+// is a regression, as is a kernel's bytes per op growing beyond it.
+// Every circuit volume and the partitioned whole and split volumes are
+// compared too, and any growth is a regression whatever the threshold,
+// so a speedup cannot quietly buy a worse layout. Metrics only one side
+// has are reported as missing, never judged.
 func Compare(old, cur *File, threshold float64) (*Report, error) {
 	if err := Validate(old); err != nil {
 		return nil, fmt.Errorf("bench: old artifact: %w", err)
@@ -448,19 +453,7 @@ func Compare(old, cur *File, threshold float64) (*Report, error) {
 		threshold = DefaultThreshold
 	}
 	rep := &Report{Threshold: threshold}
-	judge := func(metric string, oldNS, newNS int64) {
-		if oldNS <= 0 || newNS <= 0 {
-			return
-		}
-		ratio := float64(newNS) / float64(oldNS)
-		rep.Deltas = append(rep.Deltas, Delta{
-			Metric:     metric,
-			Old:        oldNS,
-			New:        newNS,
-			Ratio:      ratio,
-			Regression: ratio > 1+threshold,
-		})
-	}
+	judge := judgeWithin(rep)
 	// Validate guarantees positive volumes on both sides.
 	judgeVolume := func(metric string, oldV, newV int) {
 		rep.Deltas = append(rep.Deltas, Delta{
@@ -510,9 +503,31 @@ func Compare(old, cur *File, threshold float64) (*Report, error) {
 	return rep, nil
 }
 
+// judgeWithin returns the judge of one cost measurement under
+// rep.Threshold: a positive value on both sides becomes a delta, a
+// regression when it grew by more than the threshold.
+func judgeWithin(rep *Report) func(metric string, oldV, newV int64) {
+	return func(metric string, oldV, newV int64) {
+		if oldV <= 0 || newV <= 0 {
+			return
+		}
+		ratio := float64(newV) / float64(oldV)
+		rep.Deltas = append(rep.Deltas, Delta{
+			Metric:     metric,
+			Old:        oldV,
+			New:        newV,
+			Ratio:      ratio,
+			Regression: ratio > 1+rep.Threshold,
+		})
+	}
+}
+
 // judgeKernels compares the kernel measurements shared by both artifacts
-// and records old-only kernels as missing.
-func judgeKernels(rep *Report, old, cur *File, judge func(metric string, oldNS, newNS int64)) {
+// — ns/op as "kernel/name" and bytes allocated per op as
+// "kernel/name/bytes" — and records old-only kernels as missing.
+// Bytes allocated do not depend on the runner's load, so a bytes
+// verdict cannot flip with it the way an ns/op verdict can.
+func judgeKernels(rep *Report, old, cur *File, judge func(metric string, oldV, newV int64)) {
 	curKernels := map[string]Kernel{}
 	for _, k := range cur.Kernels {
 		curKernels[k.Name] = k
@@ -524,6 +539,7 @@ func judgeKernels(rep *Report, old, cur *File, judge func(metric string, oldNS, 
 			continue
 		}
 		judge("kernel/"+ok_.Name, ok_.NSPerOp, nk.NSPerOp)
+		judge("kernel/"+ok_.Name+"/bytes", ok_.BytesPerOp, nk.BytesPerOp)
 	}
 }
 
@@ -548,19 +564,7 @@ func CompareKernels(old, cur *File, threshold float64) (*Report, error) {
 		threshold = DefaultThreshold
 	}
 	rep := &Report{Threshold: threshold}
-	judgeKernels(rep, old, cur, func(metric string, oldNS, newNS int64) {
-		if oldNS <= 0 || newNS <= 0 {
-			return
-		}
-		ratio := float64(newNS) / float64(oldNS)
-		rep.Deltas = append(rep.Deltas, Delta{
-			Metric:     metric,
-			Old:        oldNS,
-			New:        newNS,
-			Ratio:      ratio,
-			Regression: ratio > 1+threshold,
-		})
-	})
+	judgeKernels(rep, old, cur, judgeWithin(rep))
 	sort.Strings(rep.Missing)
 	return rep, nil
 }

@@ -205,8 +205,8 @@ func TestCompareKernelsJudgesOnlyKernels(t *testing.T) {
 	if regs := rep.Regressions(); len(regs) != 0 {
 		t.Fatalf("kernels-only gate flagged non-kernel metrics: %+v", regs)
 	}
-	if len(rep.Deltas) != len(old.Kernels) {
-		t.Fatalf("want %d kernel deltas, got %+v", len(old.Kernels), rep.Deltas)
+	if len(rep.Deltas) != 2*len(old.Kernels) {
+		t.Fatalf("want ns/op and bytes deltas for %d kernels, got %+v", len(old.Kernels), rep.Deltas)
 	}
 	for _, d := range rep.Deltas {
 		if !strings.HasPrefix(d.Metric, "kernel/") {
@@ -242,6 +242,39 @@ func TestCompareKernelsJudgesOnlyKernels(t *testing.T) {
 	bare.Kernels = nil
 	if _, err := CompareKernels(bare, cur, 0.5); err == nil {
 		t.Fatal("kernel-less baseline accepted by the kernel gate")
+	}
+}
+
+// TestCompareKernelsJudgesBytes pins the kernel gate's memory floor: a
+// fresh artifact whose route kernel allocates twice the bytes per op
+// fails it even at an unchanged ns/op, in bytes ("B"), and a kernel that
+// allocates less passes.
+func TestCompareKernelsJudgesBytes(t *testing.T) {
+	old := stubFile(t, 2)
+	old.Kernels = []Kernel{
+		{Name: "place/sa-anneal", NSPerOp: 30e6, AllocsPerOp: 1300, BytesPerOp: 6.9e6},
+		{Name: "route/negotiated-astar", NSPerOp: 101e6, AllocsPerOp: 9000, BytesPerOp: 51.5e6},
+	}
+	fat := copyFile(old)
+	fat.Kernels[1].BytesPerOp *= 2
+	rep, err := CompareKernels(old, fat, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := rep.Regressions()
+	if len(regs) != 1 || regs[0].Metric != "kernel/route/negotiated-astar/bytes" || regs[0].Unit() != "B" {
+		t.Fatalf("doubled route bytes per op not judged a regression in B: %+v", regs)
+	}
+
+	lean := copyFile(old)
+	lean.Kernels[0].BytesPerOp = 0.17e6
+	lean.Kernels[1].BytesPerOp = 38.8e6
+	rep, err = CompareKernels(old, lean, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs := rep.Regressions(); len(regs) != 0 {
+		t.Fatalf("smaller allocations judged a regression: %+v", regs)
 	}
 }
 

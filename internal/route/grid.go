@@ -4,11 +4,12 @@ import (
 	"repro/internal/geom"
 )
 
-// denseGridLimit bounds the cell count up to which world-wide per-cell
+// denseGridLimit bounds the cell count up to which the grid's per-cell
 // state (static obstacles, net ownership, pin ownership, congestion
-// history) is stored in flat arrays indexed by a region-local cell index.
-// Larger worlds fall back to the original hash maps: a pathological
-// bounding volume must not force a multi-hundred-megabyte allocation.
+// history) is stored in flat arrays indexed by a box-local cell index.
+// Larger grid boxes — in practice only a world a rescue grew the grid
+// to — fall back to the original hash maps: a pathological bounding
+// volume must not force a multi-hundred-megabyte allocation.
 const denseGridLimit = 4 << 20
 
 // denseSearchLimit bounds the search-region volume up to which one A*
@@ -62,14 +63,16 @@ const (
 	blockedStatic uint8 = 2
 )
 
-// grid holds the router's per-cell world state: static obstacles, net
-// ownership, pin ownership and congestion history. Worlds up to
-// denseGridLimit cells use one flat array of denseCell indexed by
-// cellIndexer (the A* inner loop then runs without a single map
-// operation); larger worlds degrade to the original hash maps
+// grid holds the router's per-cell state over one box: static
+// obstacles, net ownership, pin ownership and congestion history. The
+// router sizes the box to the cells its searches reach before a rescue
+// and grows it to the whole world only for one (see router.buildGrid).
+// Boxes up to denseGridLimit cells use one flat array of denseCell
+// indexed by cellIndexer (the A* inner loop then runs without a single
+// map operation); larger boxes degrade to the original hash maps
 // transparently.
 type grid struct {
-	world geom.Box
+	box   geom.Box
 	dense bool
 	idx   cellIndexer
 
@@ -81,10 +84,12 @@ type grid struct {
 	// might be the searching net itself), keeping the common free-cell
 	// probe inside a 16× denser array.
 	blocked []uint8
-	// histCells counts cells carrying a positive history charge. While it
+	// histCells counts cells carrying a positive history charge and
+	// maxHist is the largest charge; histAdd keeps both. While histCells
 	// is zero (the whole first pass) every step costs exactly 1 and the
 	// kernels skip the per-neighbor history load altogether.
 	histCells int
+	maxHist   float64
 
 	staticM map[geom.Point]bool
 	netAtM  map[geom.Point]int
@@ -92,12 +97,12 @@ type grid struct {
 	histM   map[geom.Point]float64
 }
 
-// newGrid builds the per-cell state store for the given routable world.
-func newGrid(world geom.Box) *grid {
-	g := &grid{world: world}
-	if v := world.Volume(); v > 0 && v <= denseGridLimit {
+// newGrid builds an empty per-cell state store over box.
+func newGrid(box geom.Box) *grid {
+	g := &grid{box: box}
+	if v := box.Volume(); v > 0 && v <= denseGridLimit {
 		g.dense = true
-		g.idx = newCellIndexer(world)
+		g.idx = newCellIndexer(box)
 		g.cells = make([]denseCell, v)
 		g.blocked = make([]uint8, v)
 		for i := range g.cells {
@@ -113,10 +118,61 @@ func newGrid(world geom.Box) *grid {
 	return g
 }
 
-// in reports whether p is indexable (inside the world). Out-of-world
-// cells carry no state; callers only probe cells inside search regions,
-// which are clamped to the world.
-func (g *grid) in(p geom.Point) bool { return g.world.Contains(p) }
+// in reports whether p is indexable (inside the grid box). Cells outside
+// it carry no state: callers only probe cells of search regions, and
+// astar grows the grid before searching a region that leaves the box.
+func (g *grid) in(p geom.Point) bool { return g.box.Contains(p) }
+
+// addObstacles rasterizes the obstacle boxes, clipped to the grid box,
+// as static cells.
+func (g *grid) addObstacles(obstacles []geom.Box) {
+	for _, b := range obstacles {
+		forEachCell(b.Intersect(g.box), g.setStatic)
+	}
+}
+
+// copyCells copies every cell of old that carries state — net, pin,
+// static bit, history — into g, whose box contains old's and whose cells
+// carry no net, pin or history yet. The history counters follow, since
+// histAdd onto a fresh cell sets it; put may see a map-backed cell once
+// per map holding it, so it charges a cell only once.
+func (g *grid) copyCells(old *grid) {
+	put := func(p geom.Point) {
+		net, pin, static, hist := old.cellState(p)
+		if static {
+			g.setStatic(p)
+		}
+		if net >= 0 {
+			g.setNet(p, int(net))
+		}
+		if pin >= 0 {
+			g.setPin(p, int(pin))
+		}
+		if hist > 0 && g.histAt(p) == 0 {
+			g.histAdd(p, hist)
+		}
+	}
+	if old.dense {
+		for i, b := range old.blocked {
+			if b != 0 || old.cells[i].hist > 0 {
+				put(old.idx.point(i))
+			}
+		}
+		return
+	}
+	for p := range old.staticM {
+		put(p)
+	}
+	for p := range old.netAtM {
+		put(p)
+	}
+	for p := range old.pinAtM {
+		put(p)
+	}
+	for p := range old.histM {
+		put(p)
+	}
+}
 
 // setStatic marks p as a static obstacle cell.
 func (g *grid) setStatic(p geom.Point) {
@@ -254,52 +310,30 @@ func (g *grid) histAt(p geom.Point) float64 {
 	return g.histM[p]
 }
 
-// histAdd charges v onto p's congestion history.
+// histAdd charges v (positive) onto p's congestion history and keeps
+// the history cell count and maximum charge.
 func (g *grid) histAdd(p geom.Point, v float64) {
 	if !g.in(p) {
 		return
 	}
+	var h float64
 	if g.dense {
 		c := &g.cells[g.idx.index(p)]
-		if c.hist == 0 && v > 0 {
+		if c.hist == 0 {
 			g.histCells++
 		}
 		c.hist += v
-		return
+		h = c.hist
+	} else {
+		if g.histM[p] == 0 {
+			g.histCells++
+		}
+		g.histM[p] += v
+		h = g.histM[p]
 	}
-	if g.histM[p] == 0 && v > 0 {
-		g.histCells++
-	}
-	g.histM[p] += v
+	g.maxHist = max(g.maxHist, h)
 }
 
 // hasHist reports whether any cell carries history charge; while false,
 // every step costs exactly 1 and the kernels skip history loads.
 func (g *grid) hasHist() bool { return g.histCells > 0 }
-
-// histStats returns the number of cells carrying history charge and the
-// maximum charge. Both are order-independent aggregates, so the result is
-// identical for the dense array walk and the map fallback regardless of
-// iteration order.
-func (g *grid) histStats() (cells int, maxCharge float64) {
-	if g.dense {
-		for i := range g.cells {
-			if h := g.cells[i].hist; h > 0 {
-				cells++
-				if h > maxCharge {
-					maxCharge = h
-				}
-			}
-		}
-		return cells, maxCharge
-	}
-	for _, h := range g.histM {
-		if h > 0 {
-			cells++
-			if h > maxCharge {
-				maxCharge = h
-			}
-		}
-	}
-	return cells, maxCharge
-}

@@ -1,15 +1,30 @@
 package route
 
 import (
+	"context"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"unsafe"
 
+	"repro/internal/bridge"
 	"repro/internal/geom"
 	"repro/internal/place"
 	"repro/internal/qc"
 )
+
+// newSparseGrid builds the map-backed grid newGrid uses past
+// denseGridLimit, over a small box.
+func newSparseGrid(box geom.Box) *grid {
+	return &grid{box: box,
+		staticM: map[geom.Point]bool{},
+		netAtM:  map[geom.Point]int{},
+		pinAtM:  map[geom.Point]int{},
+		histM:   map[geom.Point]float64{},
+	}
+}
 
 // forceSparseSearch routes subsequent runs through the map-based A*
 // fallback regardless of region volume; the returned func restores the
@@ -55,12 +70,7 @@ func TestCellIndexerRoundTrip(t *testing.T) {
 func TestGridDenseSparseAgree(t *testing.T) {
 	world := geom.NewBox(0, 0, 0, 6, 5, 4)
 	dense := newGrid(world)
-	sparse := &grid{world: world,
-		staticM: map[geom.Point]bool{},
-		netAtM:  map[geom.Point]int{},
-		pinAtM:  map[geom.Point]int{},
-		histM:   map[geom.Point]float64{},
-	}
+	sparse := newSparseGrid(world)
 	if !dense.dense || sparse.dense {
 		t.Fatal("fixture storage modes wrong")
 	}
@@ -99,13 +109,13 @@ func TestGridDenseSparseAgree(t *testing.T) {
 			}
 		}
 	}
-	dc, dm := dense.histStats()
-	sc, sm := sparse.histStats()
+	dc, dm := dense.histCells, dense.maxHist
+	sc, sm := sparse.histCells, sparse.maxHist
 	if dc != sc || dm != sm {
-		t.Fatalf("histStats: dense (%d,%v) sparse (%d,%v)", dc, dm, sc, sm)
+		t.Fatalf("history counters: dense (%d,%v) sparse (%d,%v)", dc, dm, sc, sm)
 	}
 	if dc != 2 || dm != 2 {
-		t.Fatalf("histStats = (%d,%v), want (2,2)", dc, dm)
+		t.Fatalf("history counters = (%d,%v), want (2,2)", dc, dm)
 	}
 	if owner, ok := dense.netOwner(geom.Pt(2, 2, 2)); !ok || owner != 0 {
 		t.Fatalf("net 0 ownership lost: (%d,%v)", owner, ok)
@@ -143,23 +153,83 @@ func TestGridBlockedByte(t *testing.T) {
 	}
 }
 
-// TestGridOutOfWorldProbes pins that cells outside the world carry no
-// state and that writes to them are dropped rather than panicking.
+// TestGridOutOfWorldProbes pins that cells outside the grid box carry no
+// state and that writes to them are dropped rather than panicking, in
+// both storage modes. The box is smaller than the router's world, so an
+// out-of-box cell may well lie inside the world: astar grows the grid
+// before any search reaches one (TestGridExtent).
 func TestGridOutOfWorldProbes(t *testing.T) {
-	world := geom.NewBox(0, 0, 0, 2, 2, 2)
-	g := newGrid(world)
-	out := geom.Pt(-1, 5, 0)
-	g.setStatic(out)
-	g.setNet(out, 3)
-	g.histAdd(out, 1)
-	if g.isStatic(out) {
-		t.Fatal("out-of-world static stuck")
+	box := geom.NewBox(0, 0, 0, 2, 2, 2)
+	for _, g := range []*grid{newGrid(box), newSparseGrid(box)} {
+		out := geom.Pt(-1, 5, 0)
+		g.setStatic(out)
+		g.setNet(out, 3)
+		g.setPin(out, 4)
+		g.histAdd(out, 1)
+		g.addObstacles([]geom.Box{geom.NewBox(-3, 0, 0, 0, 2, 2)})
+		if g.isStatic(out) || g.isStatic(geom.Pt(-1, 0, 0)) {
+			t.Fatalf("dense=%v: out-of-box static stuck", g.dense)
+		}
+		if _, ok := g.netOwner(out); ok {
+			t.Fatalf("dense=%v: out-of-box net owner stuck", g.dense)
+		}
+		if _, ok := g.pinOwner(out); ok {
+			t.Fatalf("dense=%v: out-of-box pin owner stuck", g.dense)
+		}
+		if g.histAt(out) != 0 || g.histCells != 0 || g.maxHist != 0 {
+			t.Fatalf("dense=%v: out-of-box history stuck", g.dense)
+		}
 	}
-	if _, ok := g.netOwner(out); ok {
-		t.Fatal("out-of-world net owner stuck")
-	}
-	if g.histAt(out) != 0 {
-		t.Fatal("out-of-world history stuck")
+}
+
+// TestGridCopyCells pins the growth copy in every pair of storage modes:
+// after the obstacles are rasterized into a larger grid and the old
+// grid's cells copied in, every cell of the old box reads as before —
+// net, pin, static bit, history — the cells outside it carry only the
+// obstacles, and the history counters carry over.
+func TestGridCopyCells(t *testing.T) {
+	small := geom.NewBox(1, 1, 0, 4, 3, 2)
+	big := geom.NewBox(0, 0, 0, 6, 4, 3)
+	obstacles := []geom.Box{geom.NewBox(0, 0, 0, 2, 1, 1), geom.NewBox(3, 2, 1, 6, 4, 3)}
+	modes := map[string]func(geom.Box) *grid{"dense": newGrid, "sparse": newSparseGrid}
+	for oldName, oldGrid := range modes {
+		for newName, newGridOf := range modes {
+			label := oldName + "->" + newName
+			old := oldGrid(small)
+			old.addObstacles(obstacles)
+			old.setPin(geom.Pt(1, 1, 0), 0)
+			old.setNet(geom.Pt(1, 1, 0), 5) // a pin cell a net also owns
+			old.setNet(geom.Pt(2, 2, 1), 0)
+			old.setNet(geom.Pt(3, 2, 1), 7) // a net across a static cell
+			old.histAdd(geom.Pt(2, 2, 1), 1)
+			old.histAdd(geom.Pt(2, 1, 0), 1)
+			old.histAdd(geom.Pt(2, 1, 0), 1)
+			g := newGridOf(big)
+			g.addObstacles(obstacles)
+			g.copyCells(old)
+			if g.histCells != old.histCells || g.maxHist != old.maxHist || g.histCells != 2 || g.maxHist != 2 {
+				t.Fatalf("%s: history counters (%d,%v), want (2,2)", label, g.histCells, g.maxHist)
+			}
+			forEachCell(big, func(p geom.Point) {
+				net, pin, static, hist := g.cellState(p)
+				if !small.Contains(p) {
+					want := false
+					for _, b := range obstacles {
+						want = want || b.Contains(p)
+					}
+					if net != -1 || pin != -1 || static != want || hist != 0 {
+						t.Fatalf("%s: cell %v outside the old box: (%d,%d,%v,%v), want static %v only",
+							label, p, net, pin, static, hist, want)
+					}
+					return
+				}
+				wn, wp, ws, wh := old.cellState(p)
+				if net != wn || pin != wp || static != ws || hist != wh {
+					t.Fatalf("%s: cell %v: (%d,%d,%v,%v), want (%d,%d,%v,%v)",
+						label, p, net, pin, static, hist, wn, wp, ws, wh)
+				}
+			})
+		}
 	}
 }
 
@@ -277,4 +347,117 @@ func TestDenseSparseSearchAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRouting(t, "dense-vs-sparse", dense, sparse)
+}
+
+// routed runs the router over pl as RunContext does and returns it, so
+// tests can inspect the grid it ended with.
+func routed(t *testing.T, pl *place.Placement, opts Options) *router {
+	t.Helper()
+	r := newTestRouter(t, pl, opts)
+	r.route()
+	if r.ctxErr != nil {
+		t.Fatal(r.ctxErr)
+	}
+	return r
+}
+
+// checkGridBox asserts the grid rule: the world is the base and pin cells
+// expanded by 46 cells, and the grid covers the pin cells' bounding box
+// expanded by 27, clamped to the world.
+func checkGridBox(t *testing.T, label string, r *router) {
+	t.Helper()
+	var pins geom.Box
+	for _, c := range r.pinCell {
+		pins = pins.UnionPoint(c)
+	}
+	if want := r.base.Union(pins).Expand(46); r.world != want {
+		t.Errorf("%s: world %v, want %v", label, r.world, want)
+	}
+	if want := pins.Expand(27).Intersect(r.world); r.grid.box != want {
+		t.Errorf("%s: grid box %v, want %v", label, r.grid.box, want)
+	}
+}
+
+// TestGridExtent pins the grid's extent and what it costs. Routing the
+// golden placements and a seam fixture leaves the grid on the rule's box,
+// never grown (a wider margin would show here as lost memory). A
+// FailNet-forced rescue grows it exactly once, to the world. And one
+// routing of the route/negotiated-astar kernel's placement allocates
+// under 30 MiB: 17–24 MB with a warm or cold search-state pool, where a
+// grid over the whole world made it allocate 39–47 MB. The race
+// detector's pool drops state at random, so that build skips the bound.
+func TestGridExtent(t *testing.T) {
+	var pl4gt10 *place.Placement
+	for _, c := range []struct {
+		circuit string
+		seed    int64
+	}{{"4gt10-v1_81", 1}, {"4gt10-v1_81", 7}, {"4gt4-v0_73", 1}, {"4gt4-v0_73", 7}} {
+		label := fmt.Sprintf("%s/seed%d", c.circuit, c.seed)
+		spec, err := qc.BenchmarkByName(c.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		po := place.DefaultOptions()
+		po.Seed = c.seed
+		po.Chains = 1
+		pl := placedWith(t, mustGen(t, spec), true, po)
+		if pl4gt10 == nil {
+			pl4gt10 = pl
+		}
+		r := routed(t, pl, DefaultOptions())
+		checkGridBox(t, label, r)
+		if r.grown != 0 {
+			t.Errorf("%s: grid grew %d times", label, r.grown)
+		}
+		t.Logf("%s: grid %d cells, world %d", label, r.grid.box.Volume(), r.world.Volume())
+	}
+
+	obstacles, nets, base := seamFixture()
+	bnets := make([]bridge.Net, len(nets))
+	for i := range nets {
+		bnets[i] = bridge.Net{ID: i, PinA: 2 * i, PinB: 2*i + 1}
+	}
+	r := newRouter(context.Background(), nil, bnets, DefaultOptions())
+	if err := r.buildSeams(obstacles, nets, base); err != nil {
+		t.Fatal(err)
+	}
+	r.route()
+	checkGridBox(t, "seams", r)
+	if r.grown != 0 || len(r.routes) != len(nets) {
+		t.Errorf("seams: grid grew %d times, %d of %d routed", r.grown, len(r.routes), len(nets))
+	}
+
+	opts := DefaultOptions()
+	opts.FailNet = func(id int) bool { return id%20 == 0 }
+	r = routed(t, pl4gt10, opts)
+	if r.grown != 1 || r.grid.box != r.world || !r.grid.dense {
+		t.Errorf("forced rescue: grid grew %d times to %v (dense %v), want once to the world %v",
+			r.grown, r.grid.box, r.grid.dense, r.world)
+	}
+
+	if raceEnabled {
+		return
+	}
+	// The kernel's placement: 4gt10-v1_81, seed 1, 2000 moves, one chain.
+	spec, err := qc.BenchmarkByName("4gt10-v1_81")
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := place.DefaultOptions()
+	po.Seed = 1
+	po.Iterations = 2000
+	po.Chains = 1
+	pl := placedWith(t, mustGen(t, spec), true, po)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(pl, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const bound = 30 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+		t.Errorf("kernel placement routing allocated %d bytes, want at most %d", alloc, bound)
+	} else {
+		t.Logf("kernel placement routing allocated %d bytes", alloc)
+	}
 }

@@ -12,7 +12,10 @@
 // the routed cells' bounding box.
 //
 // The hot path is bidirectional A* for single-start/single-target nets
-// (search.go) over the dense cell grid (grid.go). Routing is
+// (search.go) over the dense cell grid (grid.go). The grid covers only
+// the cells the bounded searches can reach — the pin cells' bounding box
+// plus the widest search margin — and grows to the whole routable world
+// once, when a whole-world rescue search needs it. Routing is
 // deterministic for a fixed input: see ARCHITECTURE.md's "Routing" section
 // for the contracts.
 package route
@@ -48,6 +51,13 @@ const (
 	historyWeight float64 = 1.5
 	maxExpansions         = 60000
 )
+
+// gridMargin is the widest search-region margin outside degrade's rescue:
+// a net's margin starts at initialMargin and grows by expandStep on each
+// of at most maxIterations negotiation attempts (23), and a victim
+// reroute or a dangling repair searches one expandStep wider (27). The
+// grid covers the pin cells' bounding box expanded by it.
+const gridMargin = initialMargin + (maxIterations+1)*expandStep
 
 // Options configures the router.
 type Options struct {
@@ -203,12 +213,19 @@ type router struct {
 	// toggled in the degrade phase.
 	shove bool
 
-	// grid holds the per-cell world state — rasterized static obstacles,
-	// net ownership (a cell is recorded for its first owner only; friend
+	// grid holds the per-cell state — rasterized static obstacles, net
+	// ownership (a cell is recorded for its first owner only; friend
 	// endpoints may coincide), pin ownership and congestion history — in
 	// dense flat arrays for O(1) map-free probes in the A* inner loop
-	// (with a hash-map fallback above denseGridLimit cells).
-	grid *grid
+	// (with a hash-map fallback above denseGridLimit cells). It covers
+	// the pin cells' bounding box expanded by gridMargin until a rescue
+	// search grows it to the world (growGrid); grown counts the growths.
+	grid  *grid
+	grown int
+	// obstacles are the static obstacle boxes — module bodies and
+	// distillation boxes, or the seam router's slabs — that every grid is
+	// rasterized from.
+	obstacles []geom.Box
 
 	pinCell map[int]geom.Point // pin ID -> cell
 	routes  map[int]geom.Path
@@ -231,7 +248,8 @@ type router struct {
 
 	// base is the pre-routing extent (placement bounds, or the caller's
 	// slab extent for seam routing); finish unions routes and pin cells
-	// into it. world clamps all search regions.
+	// into it. world clamps all search regions; it is the region of a
+	// whole-world rescue and the box the grid grows to for one.
 	base  geom.Box
 	world geom.Box
 
@@ -306,20 +324,23 @@ func (r *router) checkCtx() bool {
 }
 
 // build populates obstacles, pin cells, friend groups and the per-cell
-// grid. The grid is indexed by the routable world, which depends on the
-// homed pin cells, so obstacles and pins first land in temporary maps
-// (which homePin also consults) and are transferred once the world is
-// known.
+// grid. The grid box depends on the homed pin cells, so homePin tests
+// obstacles in a raster over the placement bounds, which contain them
+// all, and pins in a temporary map.
 func (r *router) build() error {
 	cl := r.p.Clust
-	staticCells := map[geom.Point]bool{}
-	cellPin := map[geom.Point]int{}
 	for m := range cl.NL.Modules {
-		addObstacle(r.p.ModuleBox(m), staticCells)
+		r.obstacles = append(r.obstacles, r.p.ModuleBox(m))
 	}
-	for _, b := range r.p.BoxObstacles() {
-		addObstacle(b, staticCells)
+	r.obstacles = append(r.obstacles, r.p.BoxObstacles()...)
+	r.base = r.p.Bounds()
+	ci := newCellIndexer(r.base)
+	raster := make([]bool, ci.volume())
+	for _, b := range r.obstacles {
+		forEachCell(b.Intersect(r.base), func(c geom.Point) { raster[ci.index(c)] = true })
 	}
+	static := func(c geom.Point) bool { return r.base.Contains(c) && raster[ci.index(c)] }
+	cellPin := map[geom.Point]int{}
 	for _, n := range r.nets {
 		for _, pid := range []int{n.PinA, n.PinB} {
 			if _, ok := r.pinCell[pid]; ok {
@@ -329,7 +350,7 @@ func (r *router) build() error {
 			if err != nil {
 				return fmt.Errorf("route: net %d: %w", n.ID, err)
 			}
-			pos, err = r.homePin(pid, pos, staticCells, cellPin)
+			pos, err = r.homePin(pid, pos, static, cellPin)
 			if err != nil {
 				return fmt.Errorf("route: net %d: %w", n.ID, err)
 			}
@@ -339,14 +360,8 @@ func (r *router) build() error {
 		r.friends[n.PinA] = append(r.friends[n.PinA], n.ID)
 		r.friends[n.PinB] = append(r.friends[n.PinB], n.ID)
 	}
-	r.base = r.p.Bounds()
-	r.buildGrid(staticCells, cellPin)
+	r.buildGrid()
 	return nil
-}
-
-// addObstacle rasterizes a static obstacle box's cells into staticCells.
-func addObstacle(b geom.Box, staticCells map[geom.Point]bool) {
-	forEachCell(b, func(c geom.Point) { staticCells[c] = true })
 }
 
 // forEachCell calls f on every cell of b, x-major, then y, then z.
@@ -362,32 +377,50 @@ func forEachCell(b geom.Box, f func(geom.Point)) {
 
 // buildGrid derives the routable world from r.base and the pin cells —
 // everything placed, expanded generously so detours around the hull
-// remain possible — and transfers the build-time maps into the
-// world-indexed grid. Both transfers only set independent per-cell flags,
-// so map iteration order cannot influence the result.
-func (r *router) buildGrid(staticCells map[geom.Point]bool, cellPin map[geom.Point]int) {
+// remain possible — and builds the grid over the part of it that every
+// search but degrade's whole-world rescue stays in: the pin cells'
+// bounding box expanded by gridMargin, clamped to the world. Each search
+// region is a net's pin box expanded by at most gridMargin, so it lies
+// inside. The obstacles are rasterized into the grid and the pins set;
+// each pin cell holds one pin, so map order cannot matter.
+func (r *router) buildGrid() {
 	bounds := r.base
+	var pins geom.Box
 	for _, c := range r.pinCell {
 		bounds = bounds.UnionPoint(c)
+		pins = pins.UnionPoint(c)
 	}
 	r.world = bounds.Expand(6 + 2*maxIterations*expandStep)
-	r.grid = newGrid(r.world)
-	for c := range staticCells {
-		r.grid.setStatic(c)
-	}
-	for c, pid := range cellPin {
+	r.grid = newGrid(pins.Expand(gridMargin).Intersect(r.world))
+	r.grid.addObstacles(r.obstacles)
+	for pid, c := range r.pinCell {
 		r.grid.setPin(c, pid)
 	}
+}
+
+// growGrid replaces the grid by one over the whole world, for a rescue
+// search whose region leaves the grid box; dense or map-backed by
+// denseGridLimit. The obstacles are rasterized afresh and every cell's
+// net, pin, static bit and history copied, not re-derived: which net owns
+// a cell two paths share depends on the commit order.
+func (r *router) growGrid() {
+	g := newGrid(r.world)
+	g.addObstacles(r.obstacles)
+	g.copyCells(r.grid)
+	r.grid = g
+	r.grown++
 }
 
 // homePin resolves pin-cell collisions: with the shared inter-tier routing
 // plane, the natural pin cell of one module can coincide with a facing
 // pin of the adjacent tier or sit inside an obstacle. The dual segment may
 // exit its primal ring anywhere along the opening, so the pin is rehomed
-// to the nearest free cell in the same plane above/below its module body.
-func (r *router) homePin(pid int, pos geom.Point, staticCells map[geom.Point]bool, cellPin map[geom.Point]int) (geom.Point, error) {
+// to the nearest free cell in the same plane above/below its module body:
+// one that static (inside an obstacle) and cellPin (homed pins) both
+// leave free.
+func (r *router) homePin(pid int, pos geom.Point, static func(geom.Point) bool, cellPin map[geom.Point]int) (geom.Point, error) {
 	free := func(c geom.Point) bool {
-		if staticCells[c] {
+		if static(c) {
 			return false
 		}
 		_, taken := cellPin[c]
@@ -736,6 +769,9 @@ func (r *router) netDist(n bridge.Net) int {
 	return r.pinCell[n.PinA].Manhattan(r.pinCell[n.PinB])
 }
 
+// searchRegion returns net n's pin cells' bounding box expanded by margin
+// and clamped to the world. A margin of at most gridMargin keeps it
+// inside the initial grid box.
 func (r *router) searchRegion(n bridge.Net, margin int) geom.Box {
 	b := geom.CellBox(r.pinCell[n.PinA]).UnionPoint(r.pinCell[n.PinB]).Expand(margin)
 	return b.Intersect(r.world)
@@ -1032,11 +1068,10 @@ func (r *router) commit(n bridge.Net, path geom.Path) {
 }
 
 // finish records routes and computes the final bounds. The history
-// statistics come from grid.histStats, an order-independent aggregate,
-// so the reported counts are identical across runs regardless of storage
-// (dense array or map fallback).
+// statistics are the grid's counters, which histAdd keeps as charges
+// land, so they do not depend on storage (dense array or map fallback).
 func (r *router) finish() {
-	r.result.HistoryCells, r.result.MaxHistory = r.grid.histStats()
+	r.result.HistoryCells, r.result.MaxHistory = r.grid.histCells, r.grid.maxHist
 	b := r.base
 	for id, path := range r.routes {
 		r.result.Routes[id] = path

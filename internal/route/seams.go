@@ -54,25 +54,23 @@ func RouteSeams(ctx context.Context, obstacles []geom.Box, nets []SeamNet, base 
 	return r.result, nil
 }
 
-// buildSeams is the placement-free analogue of build: obstacles land in
-// the grid verbatim, and pin cells are taken as given (erroring instead of
-// rehoming when a pin collides with an obstacle or another pin, since seam
-// pins are chosen by the stitcher on planes it knows to be free).
+// buildSeams is the placement-free analogue of build: the obstacle boxes
+// are rasterized into the grid verbatim, and pin cells are taken as given
+// (erroring instead of rehoming when a pin collides with an obstacle or
+// another pin, since seam pins are chosen by the stitcher on planes it
+// knows to be free).
 func (r *router) buildSeams(obstacles []geom.Box, nets []SeamNet, base geom.Box) error {
-	staticCells := map[geom.Point]bool{}
-	for _, b := range obstacles {
-		if b.Volume() > 0 {
-			addObstacle(b, staticCells)
-		}
-	}
+	r.obstacles = obstacles
 	cellPin := map[geom.Point]int{}
 	for i, sn := range nets {
 		for _, end := range []struct {
 			pin int
 			c   geom.Point
 		}{{2 * i, sn.A}, {2*i + 1, sn.B}} {
-			if staticCells[end.c] {
-				return fmt.Errorf("route: seam %d: pin cell %v inside an obstacle", sn.ID, end.c)
+			for _, b := range obstacles {
+				if b.Contains(end.c) {
+					return fmt.Errorf("route: seam %d: pin cell %v inside an obstacle", sn.ID, end.c)
+				}
 			}
 			if prev, taken := cellPin[end.c]; taken {
 				return fmt.Errorf("route: seam %d: pin cell %v already used by seam %d", sn.ID, end.c, nets[prev/2].ID)
@@ -87,7 +85,7 @@ func (r *router) buildSeams(obstacles []geom.Box, nets []SeamNet, base geom.Box)
 	for _, b := range obstacles {
 		r.base = r.base.Union(b)
 	}
-	r.buildGrid(staticCells, cellPin)
+	r.buildGrid()
 	return nil
 }
 

@@ -326,11 +326,16 @@ func shovable(n bridge.Net, net, pin int32, static bool) bool {
 // astar searches a cheapest path from any start to any target within the
 // region, dispatching to the bidirectional kernel for the
 // single-start/single-target case and the unidirectional kernel
-// otherwise. Regions up to denseSearchLimit cells (all but degenerate
-// whole-world rescues) index search state with flat arrays;
+// otherwise. A region that leaves the grid box — only degrade's
+// whole-world fallback and shove searches ask for one — first grows the
+// grid to the world, once. Regions up to denseSearchLimit cells (all but
+// degenerate whole-world rescues) index search state with flat arrays;
 // larger ones fall back to a hash-map slot index. Both storage modes run
 // the same kernel code and return identical paths.
 func (r *router) astar(n bridge.Net, ep *netEndpoints, region geom.Box) geom.Path {
+	if !r.grid.box.ContainsBox(region) {
+		r.growGrid()
+	}
 	// A region can never yield more useful expansions than it has cells.
 	maxExp := maxExpansions
 	if r.inFallback {
