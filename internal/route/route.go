@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bridge"
@@ -170,25 +169,19 @@ func (r *Result) WireCells() int {
 	return n
 }
 
-// endpointRebuilds counts endpoint-cache rebuilds (each rebuild sorts the
-// start and target cell sets). Exposed for the regression test pinning
-// that unchanged endpoints are not re-sorted across search attempts.
-var endpointRebuilds atomic.Int64
-
 // netEndpoints is the cached start/target cell sets of one net: the two
 // (rehomed) pin cells plus, when FriendNets is enabled, every cell of
 // every committed friend path at the corresponding pin. The cells are
-// cellLess-sorted and deduplicated; sbox/tbox are the bounding boxes used
-// as A* heuristic anchors. The cache is keyed by the two pins' revision
-// counters, which bump on every commit and uncommit of an incident net,
-// so a search only re-collects (and re-sorts) endpoints after they
-// actually changed.
+// cellLess-sorted and deduplicated; astar anchors its heuristic on the
+// bounding box of the targets inside the search region. The cache is
+// keyed by the two pins' revision counters, which bump on every commit
+// and uncommit of an incident net, so a search only re-collects (and
+// re-sorts) endpoints after they actually changed.
 type netEndpoints struct {
 	valid      bool
 	revA, revB uint64
 	starts     []geom.Point
 	targets    []geom.Point
-	sbox, tbox geom.Box
 	// deg is the cellLess-smallest cell present in both sets (a friend
 	// path touching both pins); when hasDeg is set the net routes as the
 	// single-cell path {deg} without a search.
@@ -245,6 +238,10 @@ type router struct {
 	eps       []netEndpoints
 	pinRev    map[int]uint64
 	dirtyPins map[int]bool
+	// endpointRebuilds counts endpoint-cache rebuilds (each rebuild sorts
+	// the start and target cell sets), for the test pinning that unchanged
+	// endpoints are not re-sorted across search attempts.
+	endpointRebuilds int
 
 	// base is the pre-routing extent (placement bounds, or the caller's
 	// slab extent for seam routing); finish unions routes and pin cells
@@ -958,11 +955,9 @@ func (r *router) endpointsFor(n bridge.Net) *netEndpoints {
 	if ep.valid && ep.revA == ra && ep.revB == rb {
 		return ep
 	}
-	endpointRebuilds.Add(1)
+	r.endpointRebuilds++
 	ep.starts = r.endpointCells(ep.starts[:0], n, n.PinA)
 	ep.targets = r.endpointCells(ep.targets[:0], n, n.PinB)
-	ep.sbox = cellsBounds(ep.starts)
-	ep.tbox = cellsBounds(ep.targets)
 	// Degenerate: a start cell that is already a target (friend paths
 	// touching) routes with a single-cell path; both lists are
 	// cellLess-sorted, so the first merge match is the lowest such cell

@@ -1,28 +1,28 @@
 package route
 
-// search.go holds the A* search kernels: a concrete-typed 4-ary heap (no
-// container/heap interface boxing — the old implementation spent ~87% of
-// all routing allocations boxing pqItems), a pooled generation-stamped
-// search state shared by the dense (flat-array) and sparse (hash-map)
-// cell-indexing modes, the unidirectional multi-source/multi-target
-// kernel, and the bidirectional meet-in-the-middle kernel used for
-// single-start/single-target nets.
+// search.go holds the A* search kernels: a radix-heap frontier over the
+// kernels' total entry order, a pooled generation-stamped search state
+// shared by the dense (flat-array) and sparse (hash-map) cell-indexing
+// modes, the unidirectional multi-source/multi-target kernel, and the
+// bidirectional meet-in-the-middle kernel used for single-start/
+// single-target nets.
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/bridge"
 	"repro/internal/geom"
 )
 
-// pqItem is an A* frontier entry. f is the priority (g + heuristic), g the
-// cost from the seed set, and key the settled cell's cellLess rank within
-// the search region (see searchState.key). The rank is invertible, so the
-// cell itself is not stored: 24-byte entries halve the memory the heap
-// sifts move, and (f, g) ties — the overwhelmingly common case while no
-// congestion history has accrued and every cost is a small integer — are
-// broken by one integer compare instead of a three-way coordinate compare.
+// pqItem is an A* frontier entry. f is the priority (g + heuristic, kept
+// monotone by pathmax), g the cost from the seed set, and key the settled
+// cell's cellLess rank within the search region (see searchState.key).
+// The rank is invertible, so the cell itself is not stored, and (f, g)
+// ties — the overwhelmingly common case while no congestion history has
+// accrued and every cost is a small integer — are broken by one integer
+// compare instead of a three-way coordinate compare.
 type pqItem struct {
 	f, g float64
 	key  int64
@@ -31,8 +31,10 @@ type pqItem struct {
 // itemLess is the frontier order: by f, then g, then the region-local
 // cellLess rank — a total order over all live and stale entries (two
 // entries for the same cell always differ in g, distinct cells differ in
-// key), so the pop sequence is independent of heap layout details and
-// identical across runs, storage modes and schedulers.
+// key), so the pop sequence is independent of the frontier's layout and
+// identical across runs, storage modes and schedulers. f and g are never
+// negative, so the order is also the lexicographic order of the words
+// (Float64bits(f), Float64bits(g), key) the frontier files entries by.
 func itemLess(a, b pqItem) bool {
 	if a.f != b.f {
 		return a.f < b.f
@@ -43,71 +45,165 @@ func itemLess(a, b pqItem) bool {
 	return a.key < b.key
 }
 
-// pq is a 4-ary min-heap of pqItems ordered by itemLess. It is a plain
-// slice with manual sift loops: pushing and popping perform no interface
-// conversions and no allocations beyond slice growth, and the backing
-// array is recycled across searches by the searchState pool. The wider
-// fan-out halves the tree depth versus a binary heap, trading a few
-// extra in-cache sibling comparisons per level for far fewer
-// cache-missing element moves — a net win on the router's large open
-// lists. Because itemLess is a total order, the pop sequence is the
-// same for every heap arity, so the shape never affects routing results.
-type pq []pqItem
+// frontierBuckets is the radix heap's bucket count: bucket 0 holds entries
+// equal to the last one returned, and bucket 1+i those whose highest bit
+// differing from it is bit i of the 192-bit word (f, g, key), counted
+// from key's lowest bit.
+const frontierBuckets = 1 + 3*64
 
-// push adds an entry and restores the heap order. The sift-up holds the
-// new entry in a register and shifts ancestors down, writing it once at
-// its final slot.
-func (q *pq) push(it pqItem) {
-	*q = append(*q, it)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !itemLess(it, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = it
+// frontierBlock is the entry count of one block of bucket storage.
+const frontierBlock = 256
+
+// frontierBlk is one block of a bucket's entries: a stack of n of them,
+// and next, the block after it in its bucket's chain or in the free list.
+// next comes first, so the collector scans one word of a block rather
+// than all of it.
+type frontierBlk struct {
+	next  *frontierBlk
+	n     int
+	items [frontierBlock]pqItem
 }
 
-// pop removes and returns the minimum entry. The heap must be non-empty.
-// The sift-down likewise shifts the smallest child up each level and
-// writes the displaced last entry once at the hole's final position.
-func (q *pq) pop() pqItem {
-	h := *q
-	top := h[0]
-	last := len(h) - 1
-	it := h[last]
-	h = h[:last]
-	*q = h
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= last {
+// frontier is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990)
+// of pqItems in itemLess order. It is a monotone priority queue: every
+// pushed entry must be no less than the entry pop or peek last returned,
+// which both kernels guarantee because their heuristic is consistent and
+// they push f as max(parent f, g + h). Each entry is filed by the highest
+// bit in which its (f, g, key) word differs from that last entry, so a
+// push is one append, and a pop takes the itemLess minimum of the lowest
+// non-empty bucket and refiles that bucket's other entries into strictly
+// lower buckets; an entry moves at most 192 times between its push and
+// its pop. The pop sequence is the itemLess order, the same as any heap
+// over that order would give. A bucket is a chain of blocks taken from
+// one free list, and a settled bucket's blocks go back to it as they are
+// read, so the frontier holds about as many blocks as its entries fill
+// rather than the sum of every bucket's peak. The searchState pool
+// recycles the blocks across searches.
+type frontier struct {
+	last pqItem
+	n    int
+	mask [(frontierBuckets + 63) / 64]uint64 // bit b set: bucket b non-empty
+	head [frontierBuckets]*frontierBlk       // each bucket's chain, nil when empty
+	free *frontierBlk                        // blocks in no chain
+}
+
+// bucketOf returns the bucket of it relative to the last returned entry.
+func (q *frontier) bucketOf(it pqItem) int {
+	if d := math.Float64bits(it.f) ^ math.Float64bits(q.last.f); d != 0 {
+		return 2*64 + bits.Len64(d)
+	}
+	if d := math.Float64bits(it.g) ^ math.Float64bits(q.last.g); d != 0 {
+		return 64 + bits.Len64(d)
+	}
+	return bits.Len64(uint64(it.key ^ q.last.key))
+}
+
+// file adds it to bucket b, opening a block when the head block is full.
+func (q *frontier) file(b int, it pqItem) {
+	blk := q.head[b]
+	if blk == nil || blk.n == frontierBlock {
+		nb := q.free
+		if nb != nil {
+			q.free = nb.next
+		} else {
+			nb = new(frontierBlk)
+		}
+		nb.n, nb.next = 0, blk
+		q.head[b], blk = nb, nb
+		q.mask[b>>6] |= 1 << (b & 63)
+	}
+	blk.items[blk.n] = it
+	blk.n++
+}
+
+// release returns blk to the free list.
+func (q *frontier) release(blk *frontierBlk) {
+	blk.next, q.free = q.free, blk
+}
+
+// push adds an entry, which must not be less than the last returned one.
+func (q *frontier) push(it pqItem) {
+	q.file(q.bucketOf(it), it)
+	q.n++
+}
+
+// settle makes the minimum entry the last returned one and leaves it in
+// bucket 0. The frontier must be non-empty.
+func (q *frontier) settle() {
+	if q.head[0] != nil {
+		return
+	}
+	b := 0
+	for w, m := range q.mask {
+		if m != 0 {
+			b = w<<6 + bits.TrailingZeros64(m)
 			break
 		}
-		end := c + 4
-		if end > last {
-			end = last
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if itemLess(h[j], h[m]) {
-				m = j
+	}
+	chain := q.head[b]
+	q.head[b] = nil
+	q.mask[b>>6] &^= 1 << (b & 63)
+	m := chain.items[0]
+	for blk := chain; blk != nil; blk = blk.next {
+		for _, it := range blk.items[:blk.n] {
+			if itemLess(it, m) {
+				m = it
 			}
 		}
-		if !itemLess(h[m], it) {
-			break
+	}
+	q.last = m
+	// Every entry of bucket b agrees with m above bit b-1 and at it, so
+	// each refiles into a lower bucket; a block is free once read.
+	for blk := chain; blk != nil; {
+		for _, it := range blk.items[:blk.n] {
+			q.file(q.bucketOf(it), it)
 		}
-		h[i] = h[m]
-		i = m
+		next := blk.next
+		q.release(blk)
+		blk = next
 	}
-	if last > 0 {
-		h[i] = it
+}
+
+// peek returns the minimum entry without removing it. The frontier must
+// be non-empty.
+func (q *frontier) peek() pqItem {
+	q.settle()
+	return q.last
+}
+
+// pop removes and returns the minimum entry. The frontier must be
+// non-empty.
+func (q *frontier) pop() pqItem {
+	q.settle()
+	blk := q.head[0]
+	blk.n--
+	if blk.n == 0 {
+		q.head[0] = blk.next
+		q.release(blk)
+		if q.head[0] == nil {
+			q.mask[0] &^= 1
+		}
 	}
-	return top
+	q.n--
+	return q.last
+}
+
+// reset empties the frontier, keeping its blocks.
+func (q *frontier) reset() {
+	for w, m := range q.mask {
+		for ; m != 0; m &= m - 1 {
+			b := w<<6 + bits.TrailingZeros64(m)
+			for blk := q.head[b]; blk != nil; {
+				next := blk.next
+				q.release(blk)
+				blk = next
+			}
+			q.head[b] = nil
+		}
+	}
+	q.mask = [len(q.mask)]uint64{}
+	q.n = 0
+	q.last = pqItem{}
 }
 
 // cellLess orders cells by (Z, Y, X); the router's deterministic
@@ -147,18 +243,18 @@ func boxDistance(c geom.Point, b geom.Box) float64 {
 }
 
 // searchState is the pooled per-search A* state: g-scores, parent links, a
-// visited stamp and a target-membership stamp per cell slot, plus the open
-// heap. Slots are region-local: in dense mode (region volume within
-// denseSearchLimit) the slot of a cell is its cellIndexer index and the
-// arrays cover the whole region; in sparse mode slots are handed out in
-// discovery order through a hash map and the arrays grow on demand.
-// Generation stamping makes reuse O(1): a search bumps cur instead of
-// clearing the arrays, and entries stamped by earlier generations read as
-// unseen. Both modes run the same kernel code, which is what guarantees
-// the dense and sparse searches expand identical node sequences.
+// visited stamp and a target-membership stamp per cell slot, plus the
+// open frontier. Slots are region-local: in dense mode (region volume
+// within denseSearchLimit) the slot of a cell is its key, so the arrays
+// cover the whole region in cellLess order; in sparse mode slots are
+// handed out in discovery order through a hash map and the arrays grow on
+// demand. Generation stamping makes reuse O(1): a search bumps cur
+// instead of clearing the arrays, and entries stamped by earlier
+// generations read as unseen. Both modes run the same kernel code, which
+// is what guarantees the dense and sparse searches expand identical node
+// sequences.
 type searchState struct {
 	dense bool
-	idx   cellIndexer
 	slotM map[geom.Point]int32 // sparse: cell -> slot
 	cells []geom.Point         // sparse: slot -> cell
 
@@ -174,7 +270,7 @@ type searchState struct {
 	gen    []uint32 // visited stamp: gen[i] == cur means slot i has a g-score
 	tgen   []uint32 // target stamp: tgen[i] == cur means slot i is a target
 	cur    uint32
-	open   pq
+	open   frontier
 }
 
 // searchPool recycles searchState buffers; one state is checked out per
@@ -186,13 +282,12 @@ var searchPool = sync.Pool{New: func() any { return &searchState{} }}
 // map is cleared and slots are allocated as cells are first touched.
 func (s *searchState) reset(region geom.Box, dense bool) {
 	s.dense = dense
-	s.open = s.open[:0]
+	s.open.reset()
 	s.kmin = region.Min
 	s.kyMul = int64(region.Dx())
 	s.kzMul = int64(region.Dy()) * s.kyMul
 	if dense {
-		s.idx = newCellIndexer(region)
-		if v := s.idx.volume(); v > len(s.g) {
+		if v := region.Volume(); v > len(s.g) {
 			s.g = make([]float64, v)
 			s.parent = make([]int32, v)
 			s.gen = make([]uint32, v)
@@ -217,8 +312,8 @@ func (s *searchState) reset(region geom.Box, dense bool) {
 	}
 }
 
-// key returns c's cellLess rank within the search region, the integer
-// tie-breaker carried by pqItems.
+// key returns c's cellLess rank within the search region: the integer
+// tie-breaker carried by pqItems, and in dense mode the cell's slot.
 func (s *searchState) key(c geom.Point) int64 {
 	return int64(c.Z-s.kmin.Z)*s.kzMul + int64(c.Y-s.kmin.Y)*s.kyMul + int64(c.X-s.kmin.X)
 }
@@ -235,7 +330,7 @@ func (s *searchState) cellOf(key int64) geom.Point {
 // c must lie inside the search region.
 func (s *searchState) slot(c geom.Point) int32 {
 	if s.dense {
-		return int32(s.idx.index(c))
+		return int32(s.key(c))
 	}
 	if i, ok := s.slotM[c]; ok {
 		return i
@@ -257,7 +352,7 @@ func (s *searchState) slot(c geom.Point) int32 {
 // to probe the opposite frontier.
 func (s *searchState) find(c geom.Point) (int32, bool) {
 	if s.dense {
-		return int32(s.idx.index(c)), true
+		return int32(s.key(c)), true
 	}
 	i, ok := s.slotM[c]
 	return i, ok
@@ -266,7 +361,7 @@ func (s *searchState) find(c geom.Point) (int32, bool) {
 // cellAt is the inverse of slot.
 func (s *searchState) cellAt(i int32) geom.Point {
 	if s.dense {
-		return s.idx.point(int(i))
+		return s.cellOf(int64(i))
 	}
 	return s.cells[i]
 }
@@ -402,8 +497,7 @@ func (r *router) astarUni(n bridge.Net, starts, targets []geom.Point, tbox geom.
 		s.markTarget(s.slot(c))
 	}
 	for _, c := range starts {
-		i := s.slot(c)
-		s.setG(i, 0, -1)
+		s.setG(s.slot(c), 0, -1)
 		s.open.push(pqItem{g: 0, f: boxDistance(c, tbox), key: s.key(c)})
 	}
 	// Fast-path toggles, constant for the whole search: a dense world grid
@@ -415,7 +509,7 @@ func (r *router) astarUni(n bridge.Net, starts, targets []geom.Point, tbox geom.
 	noHist := !gr.hasHist()
 	shove := r.shove
 	expansions := 0
-	for len(s.open) > 0 {
+	for s.open.n > 0 {
 		cur := s.open.pop()
 		cell := s.cellOf(cur.key)
 		ci := s.slot(cell)
@@ -442,12 +536,15 @@ func (r *router) astarUni(n bridge.Net, starts, targets []geom.Point, tbox geom.
 			if fastGrid {
 				gi := gr.idx.index(next)
 				// Targets are enterable even when occupied by a friend
-				// path; blocked cells may still belong to this net.
+				// path; blocked cells may still belong to this net, and
+				// a static cell is neither passable nor shovable.
 				if b := gr.blocked[gi]; b != 0 && !s.isTarget(ni) {
+					if b&blockedStatic != 0 {
+						continue
+					}
 					c := &gr.cells[gi]
-					static := b&blockedStatic != 0
-					if !passable(n, c.net, c.pin, static) {
-						if !shove || !shovable(n, c.net, c.pin, static) {
+					if !passable(n, c.net, c.pin, false) {
+						if !shove || !shovable(n, c.net, c.pin, false) {
 							continue
 						}
 						pen = shovePenalty
@@ -472,7 +569,7 @@ func (r *router) astarUni(n bridge.Net, starts, targets []geom.Point, tbox geom.
 				continue
 			}
 			s.setG(ni, ng, ci)
-			s.open.push(pqItem{g: ng, f: ng + boxDistance(next, tbox), key: s.key(next)})
+			s.open.push(pqItem{g: ng, f: max(cur.f, ng+boxDistance(next, tbox)), key: s.key(next)})
 		}
 	}
 	return nil
@@ -486,12 +583,13 @@ func (r *router) astarUni(n bridge.Net, starts, targets []geom.Point, tbox geom.
 // cost of the concatenated start→m→target path. Whenever either side
 // relaxes a cell the other side has seen, the sum becomes a meeting
 // candidate; the best candidate μ (ties broken by cellLess on the meeting
-// cell) is returned once μ ≤ max(min f of either open heap), the point at
+// cell) is returned once μ ≤ max(min f of either frontier), the point at
 // which no better meeting can exist (both heuristics are consistent).
-// Which frontier expands next is itself chosen by itemLess on the two heap
-// tops (forward wins ties), so the whole search is deterministic. The
-// reconstructed path is simple: a shared non-meeting cell would produce a
-// strictly cheaper candidate, contradicting μ's minimality.
+// Which frontier expands next is itself chosen by itemLess on the two
+// frontiers' minima (forward wins ties), so the whole search is
+// deterministic. The reconstructed path is simple: a shared non-meeting
+// cell would produce a strictly cheaper candidate, contradicting μ's
+// minimality.
 func (r *router) astarBidi(n bridge.Net, start, target geom.Point, region geom.Box, dense bool, maxExp int) geom.Path {
 	sf := searchPool.Get().(*searchState)
 	sb := searchPool.Get().(*searchState)
@@ -520,23 +618,18 @@ func (r *router) astarBidi(n bridge.Net, start, target geom.Point, region geom.B
 	noHist := !gr.hasHist()
 	expansions := 0
 	for {
-		fTop, bTop := math.Inf(1), math.Inf(1)
-		if len(sf.open) > 0 {
-			fTop = sf.open[0].f
+		fTop, bTop := pqItem{f: math.Inf(1)}, pqItem{f: math.Inf(1)}
+		if sf.open.n > 0 {
+			fTop = sf.open.peek()
 		}
-		if len(sb.open) > 0 {
-			bTop = sb.open[0].f
+		if sb.open.n > 0 {
+			bTop = sb.open.peek()
 		}
-		worst := fTop
-		if bTop > worst {
-			worst = bTop
-		}
-		if mu <= worst { // includes both-heaps-empty with mu still infinite
+		if mu <= max(fTop.f, bTop.f) { // includes both-frontiers-empty with mu still infinite
 			break
 		}
 		// Expand the side whose top entry is smaller; forward on ties.
-		forward := bTop == math.Inf(1) ||
-			(fTop != math.Inf(1) && !itemLess(sb.open[0], sf.open[0]))
+		forward := sb.open.n == 0 || (sf.open.n > 0 && !itemLess(bTop, fTop))
 		s, o := sf, sb
 		goal := target
 		if !forward {
@@ -583,10 +676,13 @@ func (r *router) astarBidi(n bridge.Net, start, target geom.Point, region geom.B
 				// Each frontier may enter its own goal cell
 				// unconditionally, mirroring the unidirectional kernel's
 				// seeded starts and enterable targets; other blocked
-				// cells may still belong to this net.
+				// cells may still belong to this net unless static.
 				if b := gr.blocked[gi]; b != 0 && next != goal {
+					if b&blockedStatic != 0 {
+						continue
+					}
 					c := &gr.cells[gi]
-					if !passable(n, c.net, c.pin, b&blockedStatic != 0) {
+					if !passable(n, c.net, c.pin, false) {
 						continue
 					}
 				}
@@ -612,7 +708,7 @@ func (r *router) astarBidi(n bridge.Net, start, target geom.Point, region geom.B
 				continue
 			}
 			s.setG(ni, ng, ci)
-			s.open.push(pqItem{g: ng, f: ng + boxDistance(next, hbox), key: s.key(next)})
+			s.open.push(pqItem{g: ng, f: max(cur.f, ng+boxDistance(next, hbox)), key: s.key(next)})
 			if oi, ok := o.find(next); ok && o.seen(oi) {
 				consider(next, ng+o.g[oi])
 			}

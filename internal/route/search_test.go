@@ -175,14 +175,13 @@ func TestEndpointCacheReuse(t *testing.T) {
 	pl := routeFixture(t)
 	r := newTestRouter(t, pl, DefaultOptions())
 	n := r.nets[0]
-	base := endpointRebuilds.Load()
 	ep1 := r.endpointsFor(n)
-	if got := endpointRebuilds.Load() - base; got != 1 {
-		t.Fatalf("first lookup performed %d rebuilds, want 1", got)
+	if r.endpointRebuilds != 1 {
+		t.Fatalf("first lookup performed %d rebuilds, want 1", r.endpointRebuilds)
 	}
 	ep2 := r.endpointsFor(n)
-	if got := endpointRebuilds.Load() - base; got != 1 {
-		t.Fatalf("unchanged endpoints were re-sorted (%d rebuilds after second lookup)", got)
+	if r.endpointRebuilds != 1 {
+		t.Fatalf("unchanged endpoints were re-sorted (%d rebuilds after second lookup)", r.endpointRebuilds)
 	}
 	if ep1 != ep2 {
 		t.Fatal("second lookup returned a different cache entry")
@@ -191,8 +190,8 @@ func TestEndpointCacheReuse(t *testing.T) {
 	// one rebuild on the next lookup.
 	r.commit(n, geom.Path{r.pinCell[n.PinA]})
 	r.endpointsFor(n)
-	if got := endpointRebuilds.Load() - base; got != 2 {
-		t.Fatalf("lookup after an incident commit performed %d rebuilds total, want 2", got)
+	if r.endpointRebuilds != 2 {
+		t.Fatalf("lookup after an incident commit performed %d rebuilds total, want 2", r.endpointRebuilds)
 	}
 }
 
